@@ -1,15 +1,17 @@
-//! Scalar vs cache-blocked vs parallel vs batched server kernels.
+//! The server scan engine against its pinned-scalar oracles.
 //!
-//! The ISSUE-1 tentpole: the LHE hot path (`matvec` online, `preproc`
-//! offline) in every execution strategy, at shapes sized so the
-//! database no longer fits in cache (ℓ = 2^15 rows online). Set
-//! `TIPTOE_THREADS` to pin the parallel variants' thread count and
-//! `TIPTOE_BENCH_MS` to trade time for precision.
+//! The LHE hot path (`matvec` online, `preproc` offline) at shapes
+//! sized so the database no longer fits in cache (ℓ = 2^15 rows
+//! online): `scalar` is the oracle, `blocked` the engine at batch 1 on
+//! one thread, `parallel_tN` batch 1 on every core, and `batched_b4`
+//! batch 4 on every core. Set `TIPTOE_THREADS` to pin the parallel
+//! variants' thread count and `TIPTOE_BENCH_MS` to trade time for
+//! precision.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::Rng;
 use tiptoe_lwe::{scheme, MatrixA};
-use tiptoe_math::matrix::{self, Mat};
+use tiptoe_math::matrix::{matvec_batch, matvec_scalar, Mat};
 use tiptoe_math::par::max_threads;
 use tiptoe_math::rng::seeded_rng;
 
@@ -29,13 +31,13 @@ fn bench_matvec_variants(c: &mut Criterion) {
     group.throughput(Throughput::Bytes((MATVEC_ROWS * MATVEC_COLS * 4) as u64));
     let shape = format!("{MATVEC_ROWS}x{MATVEC_COLS}");
     group.bench_with_input(BenchmarkId::new("scalar", &shape), &(), |b, ()| {
-        b.iter(|| matrix::matvec(&db, &v))
+        b.iter(|| matvec_scalar(&db, &v))
     });
     group.bench_with_input(BenchmarkId::new("blocked", &shape), &(), |b, ()| {
-        b.iter(|| matrix::matvec_blocked(&db, &v))
+        b.iter(|| matvec_batch(&db, &[&v], 1))
     });
     group.bench_with_input(BenchmarkId::new(format!("parallel_t{threads}"), &shape), &(), |b, ()| {
-        b.iter(|| matrix::matvec_par(&db, &v, 0))
+        b.iter(|| matvec_batch(&db, &[&v], 0))
     });
     // Batched: amortize the database scan over 4 concurrent queries
     // (report per-query cost by answering 4 and dividing mentally; the
@@ -45,7 +47,7 @@ fn bench_matvec_variants(c: &mut Criterion) {
         (0..MATVEC_COLS).map(|_| r.gen()).collect()
     }).collect();
     group.bench_with_input(BenchmarkId::new("batched_b4", &shape), &(), |b, ()| {
-        b.iter(|| matrix::matvec_batch(&db, &vs, 0))
+        b.iter(|| matvec_batch(&db, &vs, 0))
     });
     group.finish();
 }
@@ -61,10 +63,10 @@ fn bench_preproc_variants(c: &mut Criterion) {
     group.sample_size(10);
     let shape = format!("{PREPROC_ROWS}x{PREPROC_COLS}xn{PREPROC_N}");
     group.bench_with_input(BenchmarkId::new("scalar", &shape), &(), |b, ()| {
-        b.iter(|| scheme::preproc::<u64>(&db, &range))
+        b.iter(|| scheme::preproc_scalar::<u64>(&db, &range))
     });
     group.bench_with_input(BenchmarkId::new(format!("parallel_t{threads}"), &shape), &(), |b, ()| {
-        b.iter(|| scheme::preproc_par::<u64>(&db, &range, 0))
+        b.iter(|| scheme::preproc::<u64>(&db, &range, 0))
     });
     group.finish();
 }

@@ -1,7 +1,9 @@
 //! Machine-readable robustness benchmark: drives full private searches
 //! through the fault-injection layer (`tiptoe-net::fault`) at a sweep
-//! of injected fault rates and writes `BENCH_faults.json` at the
-//! repository root with client-perceived latency and MRR@100 per rate.
+//! of injected fault rates and writes `BENCH_faults.json` to the
+//! working directory (run it from the repository root to refresh the
+//! committed baseline) with client-perceived latency and MRR@100 per
+//! rate.
 //!
 //! ```text
 //! cargo run --release -p tiptoe-bench --bin bench_faults [docs] [queries]
@@ -299,7 +301,7 @@ fn main() {
          (budget {deadline_ms:.0} ms); breakers open: {breaker_open:?}\n"
     );
 
-    // --- Emit BENCH_faults.json at the workspace root. ---
+    // --- Emit BENCH_faults.json in the working directory. ---
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"faults\",");
     let _ = writeln!(json, "  \"docs\": {docs},");
@@ -360,11 +362,11 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_faults.json");
-    std::fs::write(root, &json).expect("write BENCH_faults.json");
+    let out = "BENCH_faults.json";
+    std::fs::write(out, &json).expect("write BENCH_faults.json");
 
     println!("{json}");
-    println!("wrote {root}\n");
+    println!("wrote {out}\n");
     println!(
         "{:>6} {:>9} {:>14} {:>13} {:>8} {:>9} {:>7} {:>9} {:>9}",
         "rate", "MRR@100", "mean lat (ms)", "max lat (ms)", "retries", "timeouts", "hedges", "degraded", "url fail"

@@ -1,7 +1,9 @@
 //! Machine-readable kernel benchmark for the perf trajectory: times
-//! the scalar / dispatched-SIMD / parallel / batched variants of the
-//! LHE hot-path kernels (`matvec` online, `preproc` offline) and
-//! writes `BENCH_kernels.json` at the repository root.
+//! the LHE hot-path kernels (the `matvec` scan engine online,
+//! `preproc` offline) against their pinned-scalar oracles at several
+//! batch sizes and thread counts, and writes `BENCH_kernels.json` to
+//! the working directory (run it from the repository root to refresh
+//! the committed baseline).
 //!
 //! `matvec` is measured at two shapes because they answer different
 //! questions: the cache-resident **hot** shape (256×1024, ~1 MiB)
@@ -23,12 +25,13 @@
 //! rather than the noise of the neighbourhood. `scalar` is the pinned
 //! portable baseline (`matvec_scalar`/`preproc_scalar`, never
 //! auto-vectorized away by dispatch); `dispatched` is the production
-//! entry point, which routes through the runtime CPU-feature dispatch
-//! (`TIPTOE_FORCE_SCALAR=1` pins it back to the scalar tier). The
-//! parallel variants are swept over thread counts, and `parallel_t1`
-//! is explicitly labeled as the spawn/partition overhead baseline —
-//! it is the dispatched kernel plus threading costs with zero
-//! parallelism, so compare t≥2 against it, not against `scalar`.
+//! engine at batch 1 on one thread, which routes through the runtime
+//! CPU-feature dispatch (`TIPTOE_FORCE_SCALAR=1` pins it back to the
+//! scalar tier); `batched_b4_per_query` is the engine at batch 4 on
+//! one thread. The `parallel_tN` variants run the engine at batch 1
+//! on N threads, and `parallel_t1` is explicitly labeled as the
+//! spawn/partition overhead baseline, so compare t≥2 against it, not
+//! against `scalar`.
 //!
 //! Knobs: `TIPTOE_THREADS` pins the sweep's top thread count
 //! (default: one per core); `TIPTOE_BENCH_KERNEL_REPS` overrides the
@@ -39,7 +42,7 @@ use std::fmt::Write as _;
 
 use rand::Rng;
 use tiptoe_lwe::{scheme, MatrixA};
-use tiptoe_math::matrix::{self, Mat};
+use tiptoe_math::matrix::{matvec_batch, matvec_scalar, Mat};
 use tiptoe_math::par::max_threads;
 use tiptoe_math::rng::seeded_rng;
 
@@ -146,12 +149,12 @@ fn main() {
     let per_call = |total: f64| total / HOT_INNER as f64;
     let scalar = per_call(time(reps, || {
         for _ in 0..HOT_INNER {
-            std::hint::black_box(matrix::matvec_scalar(&hot, &v));
+            std::hint::black_box(matvec_scalar(&hot, &v));
         }
     }));
     let dispatched = per_call(time(reps, || {
         for _ in 0..HOT_INNER {
-            std::hint::black_box(matrix::matvec(&hot, &v));
+            std::hint::black_box(matvec_batch(&hot, &[&v], 1));
         }
     }));
     push("matvec", "scalar".into(), &shape, scalar, scalar, None);
@@ -165,15 +168,15 @@ fn main() {
     const STREAM_NOTE: &str = "DRAM-bandwidth-bound at this shape: the scalar loop already \
                                saturates the host's single-core stream; see the cache-resident \
                                matvec entries for the kernel's arithmetic speedup";
-    let scalar = time(reps, || matrix::matvec_scalar(&db, &v));
-    let dispatched = time(reps, || matrix::matvec(&db, &v));
+    let scalar = time(reps, || matvec_scalar(&db, &v));
+    let dispatched = time(reps, || matvec_batch(&db, &[&v], 1));
     // Batched answers BATCH queries per pass; report per-query time.
-    let batched = time(reps, || matrix::matvec_batch(&db, &vs, 1)) / BATCH as f64;
+    let batched = time(reps, || matvec_batch(&db, &vs, 1)) / BATCH as f64;
     push("matvec_stream", "scalar".into(), &shape, scalar, scalar, None);
     push("matvec_stream", format!("dispatched_{tier}"), &shape, dispatched, scalar, Some(STREAM_NOTE));
     push("matvec_stream", format!("batched_b{BATCH}_per_query"), &shape, batched, scalar, None);
     for t in thread_sweep(threads) {
-        let seconds = time(reps, || matrix::matvec_par(&db, &v, t));
+        let seconds = time(reps, || matvec_batch(&db, &[&v], t));
         let note = (t == 1)
             .then_some("threading overhead baseline: dispatched kernel plus spawn/partition cost at zero parallelism; compare t>=2 against this, not against scalar");
         push("matvec_stream", format!("parallel_t{t}"), &shape, seconds, scalar, note);
@@ -185,17 +188,17 @@ fn main() {
     let range = a.row_range(0, PREPROC_COLS);
     let shape = format!("{PREPROC_ROWS}x{PREPROC_COLS}xn{PREPROC_N}");
     let scalar = time(reps, || scheme::preproc_scalar::<u64>(&db, &range));
-    let dispatched = time(reps, || scheme::preproc::<u64>(&db, &range));
+    let dispatched = time(reps, || scheme::preproc::<u64>(&db, &range, 1));
     push("preproc", "scalar".into(), &shape, scalar, scalar, None);
     push("preproc", format!("dispatched_{tier}"), &shape, dispatched, scalar, None);
     for t in thread_sweep(threads) {
-        let seconds = time(reps, || scheme::preproc_par::<u64>(&db, &range, t));
+        let seconds = time(reps, || scheme::preproc::<u64>(&db, &range, t));
         let note = (t == 1)
             .then_some("threading overhead baseline: dispatched kernel plus spawn/partition cost at zero parallelism; compare t>=2 against this, not against scalar");
         push("preproc", format!("parallel_t{t}"), &shape, seconds, scalar, note);
     }
 
-    // --- Emit BENCH_kernels.json at the workspace root. The rep
+    // --- Emit BENCH_kernels.json in the working directory. The rep
     // accounting comes from a metrics-snapshot delta over the run, so
     // it covers exactly this run's samples. ---
     let run_delta = tiptoe_obs::metrics().snapshot().delta(&run_start);
@@ -224,13 +227,13 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    std::fs::write(root, &json).expect("write BENCH_kernels.json");
+    let out = "BENCH_kernels.json";
+    std::fs::write(out, &json).expect("write BENCH_kernels.json");
 
     tiptoe_obs::export::export_query_artifacts();
 
     println!("{json}");
-    println!("wrote {root}");
+    println!("wrote {out}");
     for e in &entries {
         println!(
             "{:<8} {:<24} {:<20} {:>10.3} ms   {:>6.2}x{}",

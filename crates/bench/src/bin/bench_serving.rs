@@ -1,7 +1,8 @@
 //! Serving-plane throughput benchmark: sweeps concurrent closed-loop
 //! clients over direct vs. coalesced serving (paper §8.1's 19-client
-//! saturation setup) and writes `BENCH_serving.json` at the workspace
-//! root.
+//! saturation setup) and writes `BENCH_serving.json` to the working
+//! directory (run it from the repository root to refresh the committed
+//! baseline).
 //!
 //! Usage: `bench_serving [docs] [queries_per_client] [clients-csv]`
 //! (defaults: 240 docs, 12 queries/client, clients 1,4,19). The CI
@@ -72,7 +73,7 @@ fn main() {
     }
 
     let json = outcome.to_json();
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
+    let out = "BENCH_serving.json";
     std::fs::write(out, &json).expect("write BENCH_serving.json");
     println!("wrote {out}");
 }

@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use rand::Rng;
 use tiptoe_core::analysis::ScalingModel;
-use tiptoe_math::matrix::{matvec, Mat};
+use tiptoe_math::matrix::{matvec_batch, Mat};
 use tiptoe_math::rng::seeded_rng;
 use tiptoe_math::stats::fmt_bytes;
 
@@ -28,11 +28,11 @@ fn calibrate_ops_per_second() -> f64 {
     let db = Mat::from_fn(rows, cols, |_, _| rng.gen_range(0..16u32));
     let v: Vec<u64> = (0..cols).map(|_| rng.gen()).collect();
     // Warm up, then measure.
-    let _ = matvec(&db, &v);
+    let _ = matvec_batch(&db, &[&v], 1);
     let reps = 8;
     let t0 = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(matvec(&db, std::hint::black_box(&v)));
+        std::hint::black_box(matvec_batch(&db, &[std::hint::black_box(&v)], 1));
     }
     let elapsed = t0.elapsed().as_secs_f64();
     (2.0 * (rows * cols * reps) as f64) / elapsed

@@ -6,27 +6,17 @@ use tiptoe_lwe::LweParams;
 use tiptoe_net::{AdmissionPolicy, BreakerPolicy, CoalescePolicy, ConfigError, FaultPolicy};
 use tiptoe_rlwe::RlweParams;
 
-/// Server-side parallelism and batching knobs.
+/// Server-side parallelism knob.
 ///
 /// `num_threads == 0` means "one thread per available core" (the
 /// `TIPTOE_THREADS` environment variable caps the auto-detected
 /// count); any other value pins the thread count exactly. All
 /// parallel kernels are bit-identical to their scalar counterparts,
 /// so this knob trades wall-clock time only — never results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Parallelism {
     /// Threads per parallel kernel (`0` = one per core).
     pub num_threads: usize,
-    /// Ciphertexts answered per database pass by the batched server
-    /// kernels (`apply_many`); amortizes the DB scan across
-    /// concurrent queries.
-    pub batch_size: usize,
-}
-
-impl Default for Parallelism {
-    fn default() -> Self {
-        Self { num_threads: 0, batch_size: 4 }
-    }
 }
 
 /// All parameters of a Tiptoe deployment.
@@ -59,7 +49,8 @@ pub struct TiptoeConfig {
     /// memory and scan bandwidth; requires a power-of-two plaintext
     /// modulus so the signed embedding stays congruent mod `p`).
     pub pack_ranking_db: bool,
-    /// Server-side thread-count and query-batching knobs.
+    /// Server-side thread count. How many queries share one database
+    /// scan is the serving plane's `coalesce.max_batch`.
     pub parallelism: Parallelism,
     /// Coordinator fault-recovery knobs (timeouts, retries, hedging).
     /// Disabled by default: the query path then uses the raw fan-out
@@ -234,7 +225,6 @@ impl TiptoeConfig {
         if self.fault_policy.enabled {
             self.fault_policy.validate()?;
         }
-        assert!(self.parallelism.batch_size >= 1, "need a positive query batch size");
         self.coalesce.validate()?;
         self.admission.validate()?;
         self.breaker.validate()?;

@@ -14,7 +14,7 @@
 use std::time::{Duration, Instant};
 
 use tiptoe_lwe::{scheme, LweCiphertext, MatrixA};
-use tiptoe_math::matrix::Mat;
+use tiptoe_math::matrix::{DbView, Mat};
 use tiptoe_math::nibble::NibbleMat;
 use tiptoe_math::rng::derive_seed;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
@@ -39,33 +39,10 @@ enum ShardDb {
 }
 
 impl ShardDb {
-    fn cols(&self) -> usize {
+    fn view(&self) -> DbView<'_> {
         match self {
-            ShardDb::Plain(m) => m.cols(),
-            ShardDb::Packed(m) => m.cols(),
-        }
-    }
-
-    fn apply(&self, ct: &LweCiphertext<u64>) -> Vec<u64> {
-        match self {
-            ShardDb::Plain(m) => scheme::apply(m, ct),
-            ShardDb::Packed(m) => scheme::apply_packed(m, ct),
-        }
-    }
-
-    /// Answers a batch of ciphertexts in one pass over the shard
-    /// (bit-identical to per-ciphertext [`ShardDb::apply`]).
-    fn apply_many(&self, cts: &[LweCiphertext<u64>], num_threads: usize) -> Vec<Vec<u64>> {
-        match self {
-            ShardDb::Plain(m) => scheme::apply_many(m, cts, num_threads),
-            ShardDb::Packed(m) => scheme::apply_packed_many(m, cts, num_threads),
-        }
-    }
-
-    fn storage_bytes(&self) -> u64 {
-        match self {
-            ShardDb::Plain(m) => (m.len() * std::mem::size_of::<u32>()) as u64,
-            ShardDb::Packed(m) => m.storage_bytes() as u64,
+            ShardDb::Plain(m) => m.into(),
+            ShardDb::Packed(m) => m.into(),
         }
     }
 }
@@ -129,11 +106,11 @@ impl Service for RankAnswer<'_> {
 
     fn serve(&self, idx: usize, ct: &LweCiphertext<u64>) -> Result<Vec<u8>, ServeError> {
         let shard = &self.svc.shards[idx];
-        let chunk = ct.c[shard.col_start..shard.col_start + shard.db.cols()].to_vec();
+        let chunk = ct.c[shard.col_start..shard.col_start + shard.db.view().cols()].to_vec();
         let part = match (self.via, self.budget) {
             (Some(plane), Some(b)) => plane.rank_chunk_within(idx, chunk, b.check()?)?,
             (Some(plane), None) => plane.rank_chunk(idx, chunk),
-            (None, _) => shard.db.apply(&LweCiphertext { c: chunk }),
+            (None, _) => scheme::apply(shard.db.view(), &LweCiphertext { c: chunk }),
         };
         let mut w = WireWriter::new();
         w.put_u64_slice(&part);
@@ -195,7 +172,9 @@ impl Service for RankToken<'_> {
         // the sequential evaluation.
         let threads = self.svc.parallelism.num_threads;
         let shard = &self.svc.shards[idx];
-        Ok(self.svc.uh.generate_token_expanded_par(&shard.server_hint, es, threads).encode())
+        let mut tokens =
+            self.svc.uh.generate_token_expanded_many(&shard.server_hint, &[es], threads);
+        Ok(tokens.swap_remove(0).encode())
     }
 
     fn parse(&self, _idx: usize, payload: &[u8]) -> Result<QueryToken, WireError> {
@@ -246,14 +225,12 @@ impl RankingService {
             // scalar kernel, so the build is deterministic regardless
             // of the thread count.
             let threads = config.parallelism.num_threads;
-            let (db, hint) = if config.pack_ranking_db {
-                let packed = NibbleMat::from_residues_mod_p(&plain, config.rank_lwe.p);
-                let hint = scheme::preproc_packed_par::<u64>(&packed, &range, threads);
-                (ShardDb::Packed(packed), hint)
+            let db = if config.pack_ranking_db {
+                ShardDb::Packed(NibbleMat::from_residues_mod_p(&plain, config.rank_lwe.p))
             } else {
-                let hint = scheme::preproc_par::<u64>(&plain, &range, threads);
-                (ShardDb::Plain(plain), hint)
+                ShardDb::Plain(plain)
             };
+            let hint = scheme::preproc::<u64>(db.view(), &range, threads);
             let server_hint = uh.preprocess_hint(&hint);
             shards.push(RankingShard { col_start, db, hint, server_hint });
             cluster = hi;
@@ -308,7 +285,7 @@ impl RankingService {
         self.shards
             .iter()
             .map(|s| {
-                let matrix = s.db.storage_bytes();
+                let matrix = s.db.view().storage_bytes() as u64;
                 let hint_polys = (s.server_hint.chunks()
                     * self.uh.limb_count() as usize
                     * s.server_hint.secret_dim()
@@ -341,7 +318,7 @@ impl RankingService {
         let shard = self
             .shards
             .iter_mut()
-            .find(|s| col_lo >= s.col_start && col_hi <= s.col_start + s.db.cols())
+            .find(|s| col_lo >= s.col_start && col_hi <= s.col_start + s.db.view().cols())
             .expect("cluster maps into exactly one shard");
         let local_lo = col_lo - shard.col_start;
 
@@ -360,7 +337,7 @@ impl RankingService {
 
         // 2. Rank-one hint correction: ΔH[row] += Σ_j q[j]·A[local_lo+j].
         let n = self.a.cols();
-        let range = self.a.row_range(shard.col_start, shard.db.cols());
+        let range = self.a.row_range(shard.col_start, shard.db.view().cols());
         let mut a_row = vec![0u64; n];
         for (j, &qj) in q_zp.iter().enumerate() {
             if qj == 0 {
@@ -447,7 +424,7 @@ impl RankingService {
     /// Panics if `idx` is out of range.
     pub fn shard_columns(&self, idx: usize) -> (usize, usize) {
         let s = &self.shards[idx];
-        (s.col_start, s.col_start + s.db.cols())
+        (s.col_start, s.col_start + s.db.view().cols())
     }
 
     /// The cluster range `[start, end)` served by shard `idx` (shards
@@ -470,9 +447,9 @@ impl RankingService {
     /// the shard's column count.
     pub fn shard_answer(&self, idx: usize, chunk: &[u64]) -> Vec<u64> {
         let shard = &self.shards[idx];
-        assert_eq!(chunk.len(), shard.db.cols(), "chunk width mismatch");
+        assert_eq!(chunk.len(), shard.db.view().cols(), "chunk width mismatch");
         let ct = LweCiphertext { c: chunk.to_vec() };
-        shard.db.apply(&ct)
+        scheme::apply(shard.db.view(), &ct)
     }
 
     /// Batched form of [`RankingService::shard_answer`]: answers `B`
@@ -489,11 +466,11 @@ impl RankingService {
         let cts: Vec<LweCiphertext<u64>> = chunks
             .iter()
             .map(|chunk| {
-                assert_eq!(chunk.len(), shard.db.cols(), "chunk width mismatch");
+                assert_eq!(chunk.len(), shard.db.view().cols(), "chunk width mismatch");
                 LweCiphertext { c: chunk.clone() }
             })
             .collect();
-        shard.db.apply_many(&cts, self.parallelism.num_threads)
+        scheme::apply_many(shard.db.view(), &cts, self.parallelism.num_threads)
     }
 
     /// Answers an online ranking query: workers compute their partial
@@ -698,12 +675,12 @@ mod tests {
     fn sharding_covers_all_columns_exactly_once() {
         let (_, artifacts, service) = setup();
         assert!(service.num_shards() >= 2);
-        let total_cols: usize = service.shards.iter().map(|s| s.db.cols()).sum();
+        let total_cols: usize = service.shards.iter().map(|s| s.db.view().cols()).sum();
         assert_eq!(total_cols, artifacts.rank_matrix.cols());
         let mut expected_start = 0;
         for s in &service.shards {
             assert_eq!(s.col_start, expected_start);
-            expected_start += s.db.cols();
+            expected_start += s.db.view().cols();
         }
     }
 

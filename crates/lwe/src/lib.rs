@@ -12,7 +12,9 @@
 //! - [`LweSecretKey`]: ternary secret `s ∈ {-1,0,1}^n`.
 //! - [`scheme::encrypt`]: `c = A·s + e + Δ·v` with `Δ = ⌊q/p⌋`.
 //! - [`scheme::preproc`]: `hint = M·A` (client-independent).
-//! - [`scheme::apply`]: `c' = M·c` (the 2·ℓ·m hot loop).
+//! - [`scheme::apply_many`]: `c' = M·c` for a batch of ciphertexts in
+//!   one database pass (the 2·ℓ·m hot loop; [`scheme::apply`] is its
+//!   one-ciphertext form).
 //! - [`scheme::decrypt`]: `round_p(c' - H·s)` recovers `M·v mod p`.
 //!
 //! Parameter selection ([`params`]) reproduces Tables 11 and 12 of the

@@ -15,8 +15,7 @@
 //! selection in [`crate::params`]).
 
 use rand::Rng;
-use tiptoe_math::matrix::{matvec, matvec_wide, Mat};
-use tiptoe_math::nibble::NibbleMat;
+use tiptoe_math::matrix::{matvec_batch, matvec_wide, DbView, Mat};
 use tiptoe_math::sample::{gaussian_i64, ternary_vec};
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_math::zq::Word;
@@ -89,6 +88,12 @@ impl<W: Word> LweSecretKey<W> {
 pub struct LweCiphertext<W: Word> {
     /// The ciphertext vector `c = A·s + e + Δ·v`.
     pub c: Vec<W>,
+}
+
+impl<W: Word> AsRef<[W]> for LweCiphertext<W> {
+    fn as_ref(&self) -> &[W] {
+        &self.c
+    }
 }
 
 impl<W: Word> LweCiphertext<W> {
@@ -164,35 +169,83 @@ pub fn encrypt<W: Word, R: Rng + ?Sized>(
 /// (paper: "the server executes λ·√N 64-bit operations for the
 /// one-time preprocessing of the matrix M").
 ///
-/// Streams rows of `A` once (k-outer loop), so `A` never materializes.
+/// Splits the hint's ℓ rows into one contiguous block per thread
+/// (`num_threads == 0` = one per core). Each thread streams the rows
+/// of `A` once (k-outer loop), **re-expanding the seeded rows
+/// independently**, so threads never share state and `A` never
+/// materializes; the extra work is one `A`-expansion per thread
+/// (`T·m·n` PRG words against `ℓ·m·n` MACs), negligible for `ℓ ≫ T`.
+/// Each hint row accumulates over `k` in the same order at any thread
+/// count, so the result is bit-identical to [`preproc_scalar`].
+///
+/// Packed entries ([`DbView::Nibble`]) are sign-extended into `Z_q`;
+/// that embedding is congruent mod `p` to the residue one only for a
+/// power-of-two plaintext modulus.
 ///
 /// # Panics
 ///
 /// Panics if `db.cols() != a.rows()`.
-pub fn preproc<W: Word>(db: &Mat<u32>, a: &MatrixARange) -> Mat<W> {
+pub fn preproc<'a, W: Word>(
+    db: impl Into<DbView<'a>>,
+    a: &MatrixARange,
+    num_threads: usize,
+) -> Mat<W> {
+    let db = db.into();
     assert_eq!(db.cols(), a.rows(), "matrix shapes incompatible");
     let _span = kernel_span("lwe.preproc", db.rows(), db.cols());
-    let ell = db.rows();
-    let n = a.cols();
-    let mut hint: Mat<W> = Mat::zeros(ell, n);
-    let mut a_row = vec![W::ZERO; n];
-    for k in 0..db.cols() {
-        a.expand_row(k, &mut a_row);
-        for i in 0..ell {
-            let m_ik = db.get(i, k);
-            if m_ik == 0 {
-                continue;
-            }
-            W::axpy(hint.row_mut(i), W::from_u64(m_ik as u64), &a_row);
+    match db {
+        DbView::U32(m) => {
+            preproc_rows(m.rows(), a, num_threads, |i, k| W::from_u64(m.get(i, k) as u64))
+        }
+        // Sign-extended full-width multiplier: the axpy kernels handle
+        // arbitrary 64-bit `w` (3-multiply decomposition on AVX2,
+        // native mullo on AVX-512DQ).
+        DbView::Nibble(m) => {
+            preproc_rows(m.rows(), a, num_threads, |i, k| W::from_i64(m.get(i, k) as i64))
         }
     }
+}
+
+/// The row-parallel `H = M·A` loop behind [`preproc`], over the
+/// entries `entry(i, k)` of an `ell × a.rows()` matrix.
+fn preproc_rows<W: Word>(
+    ell: usize,
+    a: &MatrixARange,
+    num_threads: usize,
+    entry: impl Fn(usize, usize) -> W + Sync,
+) -> Mat<W> {
+    let n = a.cols();
+    let mut hint: Mat<W> = Mat::zeros(ell, n);
+    if n == 0 {
+        return hint;
+    }
+    tiptoe_math::par::par_spans_mut(hint.data_mut(), n, num_threads, |start, span| {
+        let row0 = start / n;
+        let rows = span.len() / n;
+        let mut a_row = vec![W::ZERO; n];
+        for k in 0..a.rows() {
+            a.expand_row(k, &mut a_row);
+            for local in 0..rows {
+                let m_ik = entry(row0 + local, k);
+                if m_ik == W::ZERO {
+                    continue;
+                }
+                let h_row = &mut span[local * n..(local + 1) * n];
+                W::axpy(h_row, m_ik, &a_row);
+            }
+        }
+    });
     hint
 }
 
-/// Pinned-scalar [`preproc`]: identical math always on the portable
-/// kernel, never the SIMD tiers. This is the benchmark baseline and
-/// the oracle the dispatch property tests compare against; serving
-/// and build paths use [`preproc`]/[`preproc_par`].
+/// Pinned-scalar hint preprocessing: the same `H = M·A` as
+/// [`preproc`] but single-threaded and always on the portable kernel,
+/// never the SIMD tiers. This is the benchmark baseline and the oracle
+/// the engine's property tests compare against.
+///
+/// # Panics
+///
+/// Panics if `db.cols() != a.rows()`.
 pub fn preproc_scalar<W: Word>(db: &Mat<u32>, a: &MatrixARange) -> Mat<W> {
     assert_eq!(db.cols(), a.rows(), "matrix shapes incompatible");
     let ell = db.rows();
@@ -213,183 +266,35 @@ pub fn preproc_scalar<W: Word>(db: &Mat<u32>, a: &MatrixARange) -> Mat<W> {
 }
 
 /// The homomorphic matrix-vector product `c' = M·c`
-/// ("2·N 64-bit additions and multiplications").
+/// ("2·N 64-bit additions and multiplications") for one ciphertext,
+/// on one thread: [`apply_many`] at batch 1.
 ///
 /// # Panics
 ///
 /// Panics if `ct.c.len() != db.cols()`.
-pub fn apply<W: Word>(db: &Mat<u32>, ct: &LweCiphertext<W>) -> Vec<W> {
-    let _span = kernel_span("lwe.matvec", db.rows(), db.cols());
-    matvec(db, &ct.c)
-}
-
-/// Row-parallel, cache-blocked `Apply` (`num_threads == 0` = one per
-/// core); bit-identical to [`apply`].
-///
-/// # Panics
-///
-/// Panics if `ct.c.len() != db.cols()`.
-pub fn apply_par<W: Word>(db: &Mat<u32>, ct: &LweCiphertext<W>, num_threads: usize) -> Vec<W> {
-    let _span = kernel_span("lwe.matvec", db.rows(), db.cols());
-    tiptoe_math::matrix::matvec_par(db, &ct.c, num_threads)
+pub fn apply<'a, W: Word>(db: impl Into<DbView<'a>>, ct: &LweCiphertext<W>) -> Vec<W> {
+    apply_many(db, std::slice::from_ref(ct), 1).swap_remove(0)
 }
 
 /// Batched `Apply`: answers `B` ciphertexts in one pass over the
-/// database (the matrix-matrix amortization — `M` is read from DRAM
-/// once instead of `B` times). Each answer is bit-identical to
-/// `apply(db, &cts[b])`.
+/// database on the scan engine ([`tiptoe_math::matrix::matvec_batch`];
+/// the matrix-matrix amortization — `M` is read from DRAM once instead
+/// of `B` times), with the output rows split over `num_threads`
+/// threads (`0` = one per core). Each answer is bit-identical at any
+/// batch size and thread count.
 ///
 /// # Panics
 ///
 /// Panics if any ciphertext's dimension differs from `db.cols()`.
-pub fn apply_many<W: Word>(
-    db: &Mat<u32>,
+pub fn apply_many<'a, W: Word>(
+    db: impl Into<DbView<'a>>,
     cts: &[LweCiphertext<W>],
     num_threads: usize,
 ) -> Vec<Vec<W>> {
-    let mut span = kernel_span("lwe.matvec_batch", db.rows(), db.cols());
+    let db = db.into();
+    let mut span = kernel_span("lwe.matvec", db.rows(), db.cols());
     span.attr_u64("batch", cts.len() as u64);
-    let vs: Vec<Vec<W>> = cts.iter().map(|ct| ct.c.clone()).collect();
-    tiptoe_math::matrix::matvec_batch(db, &vs, num_threads)
-}
-
-/// Row-parallel hint preprocessing: splits the hint's ℓ rows into one
-/// contiguous block per thread; **each thread re-expands the seeded
-/// rows of `A` independently** (row expansion is seed-derived per row,
-/// so chunks never share state and `A` still never materializes). Each
-/// hint row accumulates over `k` in the same order as [`preproc`], so
-/// the result is bit-identical.
-///
-/// The extra work is one `A`-expansion per thread (`T·m·n` PRG words
-/// against `ℓ·m·n` MACs) — negligible for `ℓ ≫ T`.
-///
-/// # Panics
-///
-/// Panics if `db.cols() != a.rows()`.
-pub fn preproc_par<W: Word>(db: &Mat<u32>, a: &MatrixARange, num_threads: usize) -> Mat<W> {
-    assert_eq!(db.cols(), a.rows(), "matrix shapes incompatible");
-    let _span = kernel_span("lwe.preproc", db.rows(), db.cols());
-    let ell = db.rows();
-    let n = a.cols();
-    let mut hint: Mat<W> = Mat::zeros(ell, n);
-    if n == 0 {
-        return hint;
-    }
-    tiptoe_math::par::par_spans_mut(hint.data_mut(), n, num_threads, |start, span| {
-        let row0 = start / n;
-        let rows = span.len() / n;
-        let mut a_row = vec![W::ZERO; n];
-        for k in 0..db.cols() {
-            a.expand_row(k, &mut a_row);
-            for local in 0..rows {
-                let m_ik = db.get(row0 + local, k);
-                if m_ik == 0 {
-                    continue;
-                }
-                let h_row = &mut span[local * n..(local + 1) * n];
-                W::axpy(h_row, W::from_u64(m_ik as u64), &a_row);
-            }
-        }
-    });
-    hint
-}
-
-/// Hint preprocessing over a packed signed-4-bit database (see
-/// [`tiptoe_math::nibble::NibbleMat`]): identical to [`preproc`] but
-/// with entries sign-extended into `Z_q`. Requires a power-of-two
-/// plaintext modulus so the signed embedding is congruent mod `p`.
-///
-/// # Panics
-///
-/// Panics if `db.cols() != a.rows()`.
-pub fn preproc_packed<W: Word>(db: &NibbleMat, a: &MatrixARange) -> Mat<W> {
-    assert_eq!(db.cols(), a.rows(), "matrix shapes incompatible");
-    let _span = kernel_span("lwe.preproc", db.rows(), db.cols());
-    let ell = db.rows();
-    let n = a.cols();
-    let mut hint: Mat<W> = Mat::zeros(ell, n);
-    let mut a_row = vec![W::ZERO; n];
-    for k in 0..db.cols() {
-        a.expand_row(k, &mut a_row);
-        for i in 0..ell {
-            let m_ik = db.get(i, k);
-            if m_ik == 0 {
-                continue;
-            }
-            // Sign-extended full-width multiplier: the axpy kernels
-            // handle arbitrary 64-bit `w` (3-multiply decomposition on
-            // AVX2, native mullo on AVX-512DQ).
-            W::axpy(hint.row_mut(i), W::from_i64(m_ik as i64), &a_row);
-        }
-    }
-    hint
-}
-
-/// Row-parallel packed hint preprocessing; bit-identical to
-/// [`preproc_packed`] (same per-thread `A` re-expansion scheme as
-/// [`preproc_par`]).
-///
-/// # Panics
-///
-/// Panics if `db.cols() != a.rows()`.
-pub fn preproc_packed_par<W: Word>(
-    db: &NibbleMat,
-    a: &MatrixARange,
-    num_threads: usize,
-) -> Mat<W> {
-    assert_eq!(db.cols(), a.rows(), "matrix shapes incompatible");
-    let _span = kernel_span("lwe.preproc", db.rows(), db.cols());
-    let ell = db.rows();
-    let n = a.cols();
-    let mut hint: Mat<W> = Mat::zeros(ell, n);
-    if n == 0 {
-        return hint;
-    }
-    tiptoe_math::par::par_spans_mut(hint.data_mut(), n, num_threads, |start, span| {
-        let row0 = start / n;
-        let rows = span.len() / n;
-        let mut a_row = vec![W::ZERO; n];
-        for k in 0..db.cols() {
-            a.expand_row(k, &mut a_row);
-            for local in 0..rows {
-                let m_ik = db.get(row0 + local, k);
-                if m_ik == 0 {
-                    continue;
-                }
-                let h_row = &mut span[local * n..(local + 1) * n];
-                W::axpy(h_row, W::from_i64(m_ik as i64), &a_row);
-            }
-        }
-    });
-    hint
-}
-
-/// The homomorphic product over a packed database.
-///
-/// # Panics
-///
-/// Panics if `ct.c.len() != db.cols()`.
-pub fn apply_packed<W: Word>(db: &NibbleMat, ct: &LweCiphertext<W>) -> Vec<W> {
-    let _span = kernel_span("lwe.matvec", db.rows(), db.cols());
-    db.matvec(&ct.c)
-}
-
-/// Batched homomorphic product over a packed database: one scan
-/// answers all ciphertexts; bit-identical per answer to
-/// [`apply_packed`].
-///
-/// # Panics
-///
-/// Panics if any ciphertext's dimension differs from `db.cols()`.
-pub fn apply_packed_many<W: Word>(
-    db: &NibbleMat,
-    cts: &[LweCiphertext<W>],
-    num_threads: usize,
-) -> Vec<Vec<W>> {
-    let mut span = kernel_span("lwe.matvec_batch", db.rows(), db.cols());
-    span.attr_u64("batch", cts.len() as u64);
-    let vs: Vec<Vec<W>> = cts.iter().map(|ct| ct.c.clone()).collect();
-    db.matvec_batch(&vs, num_threads)
+    matvec_batch(db, cts, num_threads)
 }
 
 /// Computes `H·s`, the linear part of decryption. This is exactly the
@@ -470,6 +375,7 @@ pub fn decryption_noise<W: Word>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tiptoe_math::nibble::NibbleMat;
     use tiptoe_math::rng::seeded_rng;
 
     fn random_db(rng: &mut impl Rng, rows: usize, cols: usize, p: u64) -> Mat<u32> {
@@ -499,7 +405,7 @@ mod tests {
         let mut v = vec![0u64; cols];
         v[cols / 2] = 1;
         let ct = encrypt(params, &sk, &a, &v, &mut rng);
-        let hint = preproc::<W>(&db, &a.row_range(0, cols));
+        let hint = preproc::<W>(&db, &a.row_range(0, cols), 1);
         let applied = apply(&db, &ct);
         let got = decrypt(params, &sk, &hint, &applied);
         let want = matvec_mod_p(&db, &v, params.p);
@@ -530,7 +436,7 @@ mod tests {
         let sk = LweSecretKey::<u64>::generate(&params, &mut rng);
         let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..params.p)).collect();
         let ct = encrypt(&params, &sk, &a, &v, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, cols));
+        let hint = preproc::<u64>(&db, &a.row_range(0, cols), 1);
         let applied = apply(&db, &ct);
         let got = decrypt(&params, &sk, &hint, &applied);
         let want = matvec_mod_p(&db, &v, params.p);
@@ -548,7 +454,7 @@ mod tests {
         let sk = LweSecretKey::<u64>::generate(&params, &mut rng);
         let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..16)).collect();
         let ct = encrypt(&params, &sk, &a, &v, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, cols));
+        let hint = preproc::<u64>(&db, &a.row_range(0, cols), 1);
         let applied = apply(&db, &ct);
         let got = decrypt(&params, &sk, &hint, &applied);
         assert_eq!(got, matvec_mod_p(&db, &v, params.p));
@@ -566,7 +472,7 @@ mod tests {
         let mut v = vec![0u64; cols];
         v[3] = 1;
         let ct = encrypt(&params, &sk, &a, &v, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, cols));
+        let hint = preproc::<u64>(&db, &a.row_range(0, cols), 1);
         let applied = apply(&db, &ct);
         let right = decrypt(&params, &sk, &hint, &applied);
         let wrong = decrypt(&params, &other, &hint, &applied);
@@ -583,7 +489,7 @@ mod tests {
         let sk = LweSecretKey::<u64>::generate(&params, &mut rng);
         let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..params.p)).collect();
         let ct = encrypt(&params, &sk, &a, &v, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, cols));
+        let hint = preproc::<u64>(&db, &a.row_range(0, cols), 1);
         let applied = apply(&db, &ct);
         let truth = matvec_mod_p(&db, &v, params.p);
         let noise = decryption_noise(&params, &sk, &hint, &applied, &truth);
@@ -612,9 +518,9 @@ mod tests {
         let cols = 40;
         let db = random_db(&mut rng, 6, cols, 16);
         let a = MatrixA::new(31, cols, params.n);
-        let full = preproc::<u64>(&db, &a.row_range(0, cols));
-        let left = preproc::<u64>(&db.column_slice(0, 24), &a.row_range(0, 24));
-        let right = preproc::<u64>(&db.column_slice(24, cols), &a.row_range(24, 16));
+        let full = preproc::<u64>(&db, &a.row_range(0, cols), 1);
+        let left = preproc::<u64>(&db.column_slice(0, 24), &a.row_range(0, 24), 1);
+        let right = preproc::<u64>(&db.column_slice(24, cols), &a.row_range(24, 16), 1);
         for i in 0..6 {
             for j in 0..params.n {
                 assert_eq!(full.get(i, j), left.get(i, j).wrapping_add(right.get(i, j)));
@@ -639,11 +545,11 @@ mod tests {
         let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..16)).collect();
         let ct = encrypt(&params, &sk, &a, &v, &mut rng);
 
-        let plain_hint = preproc::<u64>(&plain, &a.row_range(0, cols));
+        let plain_hint = preproc::<u64>(&plain, &a.row_range(0, cols), 1);
         let plain_out = decrypt(&params, &sk, &plain_hint, &apply(&plain, &ct));
 
-        let packed_hint = preproc_packed::<u64>(&packed, &a.row_range(0, cols));
-        let packed_out = decrypt(&params, &sk, &packed_hint, &apply_packed(&packed, &ct));
+        let packed_hint = preproc::<u64>(&packed, &a.row_range(0, cols), 1);
+        let packed_out = decrypt(&params, &sk, &packed_hint, &apply(&packed, &ct));
         assert_eq!(plain_out, packed_out);
     }
 
@@ -655,15 +561,15 @@ mod tests {
         let db = random_db(&mut rng, 23, cols, 16);
         let a = MatrixA::new(77, cols, params.n);
         let range = a.row_range(0, cols);
-        let want = preproc::<u64>(&db, &range);
+        let want = preproc::<u64>(&db, &range, 1);
         assert_eq!(preproc_scalar::<u64>(&db, &range), want, "dispatched == pinned scalar");
         for threads in [0usize, 1, 2, 3, 8] {
-            assert_eq!(preproc_par::<u64>(&db, &range, threads), want, "threads={threads}");
+            assert_eq!(preproc::<u64>(&db, &range, threads), want, "threads={threads}");
         }
         // u32 width too.
-        let want32 = preproc::<u32>(&db, &range);
+        let want32 = preproc::<u32>(&db, &range, 1);
         assert_eq!(preproc_scalar::<u32>(&db, &range), want32);
-        assert_eq!(preproc_par::<u32>(&db, &range, 3), want32);
+        assert_eq!(preproc::<u32>(&db, &range, 3), want32);
     }
 
     #[test]
@@ -675,13 +581,9 @@ mod tests {
         let packed = NibbleMat::from_signed(17, cols, &signed);
         let a = MatrixA::new(78, cols, params.n);
         let range = a.row_range(0, cols);
-        let want = preproc_packed::<u64>(&packed, &range);
-        for threads in [1usize, 2, 5] {
-            assert_eq!(
-                preproc_packed_par::<u64>(&packed, &range, threads),
-                want,
-                "threads={threads}"
-            );
+        let want = preproc::<u64>(&packed, &range, 1);
+        for threads in [0usize, 2, 5] {
+            assert_eq!(preproc::<u64>(&packed, &range, threads), want, "threads={threads}");
         }
     }
 
@@ -702,7 +604,7 @@ mod tests {
         let batched = apply_many(&db, &cts, 2);
         for (b, ct) in cts.iter().enumerate() {
             assert_eq!(batched[b], apply(&db, ct), "ciphertext {b}");
-            assert_eq!(apply_par(&db, ct, 3), apply(&db, ct));
+            assert_eq!(apply_many(&db, std::slice::from_ref(ct), 3)[0], apply(&db, ct));
         }
     }
 

@@ -10,9 +10,10 @@
 //! - [`ntt`]: negacyclic number-theoretic transforms over NTT-friendly
 //!   primes `Q ≡ 1 (mod 2N)`.
 //! - [`poly`]: elements of the quotient ring `R_Q = Z_Q[x]/(x^N + 1)`.
-//! - [`matrix`]: dense row-major matrices with the mixed-width
-//!   matrix-vector kernels that dominate Tiptoe's server cost, in
-//!   scalar, cache-blocked, row-parallel, and batched forms.
+//! - [`matrix`]: dense row-major matrices and the scan engine that
+//!   dominates Tiptoe's server cost: one batched, cache-blocked,
+//!   row-parallel matrix-vector kernel over a `u32` or packed-nibble
+//!   database view, plus the pinned-scalar oracle.
 //! - [`par`]: the scoped-thread span helpers behind the parallel
 //!   kernels (`0 = one thread per core`, `TIPTOE_THREADS` override).
 //! - [`simd`]: runtime-dispatched AVX2/AVX-512 vector kernels behind

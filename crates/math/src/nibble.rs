@@ -4,8 +4,8 @@
 //! App. B.1); holding them as full `u32` residues wastes 8× the memory
 //! and — since the §4 scan is DRAM-bandwidth-bound — up to that much
 //! scan bandwidth. [`NibbleMat`] packs two signed nibbles per byte and
-//! provides the same wrapping matrix-vector kernel as
-//! [`crate::matrix::matvec`].
+//! plugs into the same scan engine as `u32` storage
+//! ([`crate::matrix::matvec_batch`] over [`crate::matrix::DbView::Nibble`]).
 //!
 //! Correctness note: the nibble's *signed* value is embedded into
 //! `Z_{2^k}` on the fly (`-3 → 2^k - 3`). Decryption reduces modulo
@@ -15,7 +15,7 @@
 //! formats decrypt identically (asserted by tests). The URL service's
 //! non-power-of-two `p` keeps the plain `u32` format.
 
-use crate::matrix::Mat;
+use crate::matrix::{Mat, ScanRows};
 use crate::zq::Word;
 
 /// A row-major matrix of signed 4-bit entries, two per byte.
@@ -111,115 +111,57 @@ impl NibbleMat {
         decode_nibble(if col.is_multiple_of(2) { byte & 0x0f } else { byte >> 4 })
     }
 
-    /// `out = M · v` over `Z_{2^k}` with signed entries embedded via
-    /// wrap-around — the packed counterpart of
-    /// [`crate::matrix::matvec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != cols`.
-    pub fn matvec<W: Word>(&self, v: &[W]) -> Vec<W> {
-        assert_eq!(v.len(), self.cols, "dimension mismatch");
-        let mut out = vec![W::ZERO; self.rows];
-        self.matvec_rows_into(0, v, &mut out);
-        out
-    }
-
-    /// Packed matvec of rows `[row_start, row_start + out.len())` into
-    /// `out` — the span-level worker behind [`Self::matvec`] and
-    /// [`Self::matvec_par`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row range exceeds `rows` or `v.len() != cols`.
-    pub fn matvec_rows_into<W: Word>(&self, row_start: usize, v: &[W], out: &mut [W]) {
-        assert!(row_start + out.len() <= self.rows, "row range out of bounds");
-        assert_eq!(v.len(), self.cols, "dimension mismatch");
-        let stride = self.cols.div_ceil(2);
-        for (off, o) in out.iter_mut().enumerate() {
-            let r = row_start + off;
-            let row = &self.data[r * stride..(r + 1) * stride];
-            let mut acc0 = W::ZERO;
-            let mut acc1 = W::ZERO;
-            let pairs = self.cols / 2;
-            for (k, &byte) in row.iter().enumerate().take(pairs) {
-                let lo = decode_nibble(byte & 0x0f) as i64;
-                let hi = decode_nibble(byte >> 4) as i64;
-                acc0 = acc0.wadd(W::from_i64(lo).wmul(v[2 * k]));
-                acc1 = acc1.wadd(W::from_i64(hi).wmul(v[2 * k + 1]));
-            }
-            if self.cols % 2 == 1 {
-                let byte = row[pairs];
-                let lo = decode_nibble(byte & 0x0f) as i64;
-                acc0 = acc0.wadd(W::from_i64(lo).wmul(v[self.cols - 1]));
-            }
-            *o = acc0.wadd(acc1);
-        }
-    }
-
-    /// Row-parallel packed matvec (`num_threads == 0` = one per core);
-    /// bit-identical to [`Self::matvec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != cols`.
-    pub fn matvec_par<W: Word>(&self, v: &[W], num_threads: usize) -> Vec<W> {
-        assert_eq!(v.len(), self.cols, "dimension mismatch");
-        let mut out = vec![W::ZERO; self.rows];
-        crate::par::par_spans_mut(&mut out, 1, num_threads, |start, span| {
-            self.matvec_rows_into(start, v, span);
-        });
-        out
-    }
-
-    /// Batched packed matvec: one scan of the nibble store answers all
-    /// of `vs` (the packed counterpart of
-    /// [`crate::matrix::matvec_batch`]); each output is bit-identical
-    /// to `self.matvec(&vs[b])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vector's length differs from `cols`.
-    pub fn matvec_batch<W: Word>(&self, vs: &[Vec<W>], num_threads: usize) -> Vec<Vec<W>> {
-        for v in vs {
-            assert_eq!(v.len(), self.cols, "dimension mismatch");
-        }
-        if vs.is_empty() {
-            return Vec::new();
-        }
-        let batch = vs.len();
-        let mut flat = vec![W::ZERO; self.rows * batch];
-        crate::par::par_spans_mut(&mut flat, batch, num_threads, |start, span| {
-            let row0 = start / batch;
-            for (local, row_out) in span.chunks_exact_mut(batch).enumerate() {
-                for (o, v) in row_out.iter_mut().zip(vs.iter()) {
-                    let mut one = [W::ZERO];
-                    self.matvec_rows_into(row0 + local, v, &mut one);
-                    *o = one[0];
-                }
-            }
-        });
-        let mut outs = vec![Vec::with_capacity(self.rows); batch];
-        for row_out in flat.chunks_exact(batch) {
-            for (out, &x) in outs.iter_mut().zip(row_out.iter()) {
-                out.push(x);
-            }
-        }
-        outs
-    }
-
     /// Expands back to a residue matrix (signed embedding mod `2^32`).
     pub fn to_residues(&self) -> Mat<u32> {
         Mat::from_fn(self.rows, self.cols, |r, c| self.get(r, c) as i32 as u32)
     }
 }
 
+/// The packed row kernel of the scan engine
+/// ([`crate::matrix::matvec_batch`]): decodes each byte's two nibbles
+/// on the fly into two interleaved accumulators.
+impl ScanRows for NibbleMat {
+    /// The segment's packed bytes and its width in entries.
+    type Seg<'s> = (&'s [u8], usize);
+
+    #[inline(always)]
+    fn seg(&self, row: usize, start: usize, end: usize) -> (&[u8], usize) {
+        assert!(row < self.rows, "row out of bounds");
+        debug_assert!(start.is_multiple_of(2), "segments start on a byte boundary");
+        let base = row * self.cols.div_ceil(2);
+        (&self.data[base + start / 2..base + end.div_ceil(2)], end - start)
+    }
+
+    #[inline(always)]
+    fn dot<W: Word>((bytes, width): (&[u8], usize), v: &[W]) -> W {
+        let mut acc0 = W::ZERO;
+        let mut acc1 = W::ZERO;
+        let pairs = width / 2;
+        for (k, &byte) in bytes.iter().enumerate().take(pairs) {
+            let lo = decode_nibble(byte & 0x0f) as i64;
+            let hi = decode_nibble(byte >> 4) as i64;
+            acc0 = acc0.wadd(W::from_i64(lo).wmul(v[2 * k]));
+            acc1 = acc1.wadd(W::from_i64(hi).wmul(v[2 * k + 1]));
+        }
+        if width % 2 == 1 {
+            let lo = decode_nibble(bytes[pairs] & 0x0f) as i64;
+            acc0 = acc0.wadd(W::from_i64(lo).wmul(v[width - 1]));
+        }
+        acc0.wadd(acc1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::matvec;
+    use crate::matrix::{matvec_batch, matvec_scalar};
     use crate::rng::seeded_rng;
     use rand::Rng;
+
+    /// The engine at batch 1, one thread, over the packed view.
+    fn matvec<W: Word>(m: &NibbleMat, v: &[W]) -> Vec<W> {
+        matvec_batch(m, &[v], 1).swap_remove(0)
+    }
 
     #[test]
     fn nibble_roundtrip_all_values() {
@@ -245,11 +187,8 @@ mod tests {
         for cols in [4usize, 7, 32, 33] {
             let values: Vec<i8> = (0..6 * cols).map(|_| rng.gen_range(-8i8..=7)).collect();
             let packed = NibbleMat::from_signed(6, cols, &values);
-            let plain = packed.to_residues();
-            // The plain path needs the same signed embedding width: use
-            // a u32 matrix against u64 ciphertexts via sign extension.
             let v: Vec<u64> = (0..cols).map(|_| rng.gen()).collect();
-            let got = packed.matvec(&v);
+            let got = matvec(&packed, &v);
             // Reference: direct signed accumulation.
             for (r, &g) in got.iter().enumerate() {
                 let mut want = 0u64;
@@ -259,7 +198,6 @@ mod tests {
                 }
                 assert_eq!(g, want, "row {r}, cols {cols}");
             }
-            drop(plain);
         }
     }
 
@@ -271,8 +209,8 @@ mod tests {
         let packed = NibbleMat::from_signed(4, cols, &values);
         let plain = packed.to_residues();
         let v: Vec<u32> = (0..cols).map(|_| rng.gen()).collect();
-        let got = packed.matvec(&v);
-        let want = matvec(&plain, &v);
+        let got = matvec(&packed, &v);
+        let want = matvec_scalar(&plain, &v);
         assert_eq!(got, want);
     }
 
@@ -312,14 +250,14 @@ mod tests {
         let values: Vec<i8> = (0..rows * cols).map(|_| rng.gen_range(-8i8..=7)).collect();
         let m = NibbleMat::from_signed(rows, cols, &values);
         let v: Vec<u64> = (0..cols).map(|_| rng.gen()).collect();
-        let want = m.matvec(&v);
+        let want = matvec(&m, &v);
         for threads in [0usize, 1, 2, 4] {
-            assert_eq!(m.matvec_par(&v, threads), want, "threads={threads}");
+            assert_eq!(matvec_batch(&m, &[&v], threads)[0], want, "threads={threads}");
         }
         let vs: Vec<Vec<u64>> = (0..3).map(|_| (0..cols).map(|_| rng.gen()).collect()).collect();
-        let got = m.matvec_batch(&vs, 2);
+        let got = matvec_batch(&m, &vs, 2);
         for (b, out) in got.iter().enumerate() {
-            assert_eq!(out, &m.matvec(&vs[b]), "batch element {b}");
+            assert_eq!(out, &matvec(&m, &vs[b]), "batch element {b}");
         }
     }
 }

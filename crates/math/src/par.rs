@@ -1,12 +1,13 @@
 //! Scoped-thread helpers for the row-parallel server kernels.
 //!
-//! The hot kernels ([`crate::matrix::matvec`] and the hint
-//! preprocessing in `tiptoe-lwe`) compute independent output rows, so
-//! they parallelize by handing each thread a contiguous span of the
-//! output. Everything here is plain `std::thread::scope` fan-out — no
-//! work stealing, no runtime — because the spans are uniform and the
-//! kernels are bandwidth-bound: static partitioning loses nothing and
-//! keeps the code dependency-free.
+//! The hot kernels (the scan engine [`crate::matrix::matvec_batch`]
+//! and the hint preprocessing in `tiptoe-lwe`) compute independent
+//! output rows, so they parallelize by handing each thread a
+//! contiguous span of the output. Everything here is plain
+//! `std::thread::scope` fan-out — no work stealing, no runtime —
+//! because the spans are uniform and the kernels are bandwidth-bound:
+//! static partitioning loses nothing and keeps the code
+//! dependency-free.
 //!
 //! Determinism: the helpers only decide *which thread* computes each
 //! span; the per-element arithmetic and its order are unchanged, so

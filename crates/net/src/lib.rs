@@ -23,7 +23,6 @@
 pub mod coalesce;
 pub mod fault;
 pub mod overload;
-pub mod pool;
 pub mod service;
 
 pub use coalesce::{
@@ -38,7 +37,6 @@ pub use overload::{
     AdmissionController, AdmissionPermit, AdmissionPolicy, BreakerBank, BreakerPolicy,
     BreakerState, ConfigError, DeadlineBudget, ServeError, ShardGate,
 };
-pub use pool::WorkerPool;
 pub use service::{dispatch, DispatchContext, Dispatched, Ledger, Service};
 
 use std::sync::atomic::{AtomicU64, Ordering};

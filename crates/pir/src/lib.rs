@@ -133,7 +133,7 @@ impl PirServer {
     pub fn with_threads(db: PirDatabase, a_seed: u64, uh: Underhood, num_threads: usize) -> Self {
         let a = MatrixA::new(a_seed, db.num_records(), db.params().n);
         let hint =
-            scheme::preproc_par::<u32>(db.matrix(), &a.row_range(0, db.num_records()), num_threads);
+            scheme::preproc::<u32>(db.matrix(), &a.row_range(0, db.num_records()), num_threads);
         let server_hint = uh.preprocess_hint(&hint);
         Self { db, a, uh, hint, server_hint }
     }

@@ -29,7 +29,7 @@ fn valid_messages() -> (Vec<u8>, Vec<u8>) {
     let a = tiptoe_lwe::MatrixA::new(3, 16, uh.lwe().n);
     let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
     let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
-    let hint = tiptoe_lwe::scheme::preproc::<u32>(&db, &a.row_range(0, 16));
+    let hint = tiptoe_lwe::scheme::preproc::<u32>(&db, &a.row_range(0, 16), 1);
     let token = uh.generate_token(&uh.preprocess_hint(&hint), &es);
     (es.encode(), token.encode())
 }

@@ -42,7 +42,7 @@ fn garbage_ranking_answer_yields_garbage_not_panic() {
     let a = MatrixA::new(3, cols, uh.lwe().n);
     let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
     let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
-    let hint = tiptoe_lwe::scheme::preproc::<u32>(&db, &a.row_range(0, cols));
+    let hint = tiptoe_lwe::scheme::preproc::<u32>(&db, &a.row_range(0, cols), 1);
     let token = uh.generate_token(&uh.preprocess_hint(&hint), &es);
     let mut decoded = uh.decode_token::<u32>(&key, &token);
 

@@ -36,7 +36,7 @@ fn live_protocol_messages_roundtrip() {
     // 2. The query token (token-phase download) — and the decoded copy
     //    must be *usable*: the full protocol must round-trip through
     //    serialized messages.
-    let hint = scheme::preproc::<u64>(&db, &a.row_range(0, cols));
+    let hint = scheme::preproc::<u64>(&db, &a.row_range(0, cols), 1);
     let sh = uh.preprocess_hint(&hint);
     let token = uh.generate_token(&sh, &es_back);
     let token_bytes = token.encode();
