@@ -219,7 +219,9 @@ pub fn run_serving_bench(cfg: &ServingBenchConfig) -> ServingBenchOutcome {
         let mut served = instance.new_client(9);
         let q = &corpus.queries[0];
         let a = direct.search(&instance, &q.text, 10);
-        let b = served.search_served(&instance, &q.text, 10, &plane);
+        let b = served
+            .try_search_served(&instance, &q.text, 10, &plane)
+            .expect("admission is off on this plane");
         assert_eq!(a.cluster, b.cluster, "coalesced serving must be bit-identical");
         assert_eq!(a.hits, b.hits, "coalesced serving must be bit-identical");
     }

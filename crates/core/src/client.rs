@@ -122,7 +122,7 @@ impl QueryCost {
 /// form on the fault-oblivious path, or one decoded token per shard on
 /// the fault-tolerant path (so decryption can proceed over any
 /// surviving subset — see [`combine_decoded_subset`]).
-enum RankTokens {
+enum RankingTokens {
     Combined(DecodedToken<u64>),
     PerShard(Vec<DecodedToken<u64>>),
 }
@@ -134,7 +134,7 @@ enum RankTokens {
 /// semantic security, so every fetch samples a new key.
 struct PreparedTokens {
     key: ClientKey,
-    rank: RankTokens,
+    rank: RankingTokens,
     url: DecodedToken<u32>,
     cost: QueryCost,
 }
@@ -311,11 +311,11 @@ impl TiptoeClient {
         let (decoded, t_decode) = timed(|| {
             let _span = tiptoe_obs::span("client.token_decrypt");
             let rank = if fault_tolerant {
-                RankTokens::PerShard(
+                RankingTokens::PerShard(
                     rank_tokens.iter().map(|t| uh_rank.decode_token::<u64>(&key, t)).collect(),
                 )
             } else {
-                RankTokens::Combined(uh_rank.decode_token::<u64>(&key, &rank_tokens[0]))
+                RankingTokens::Combined(uh_rank.decode_token::<u64>(&key, &rank_tokens[0]))
             };
             let url = uh_url.decode_token::<u32>(&key, &url_token);
             (rank, url)
@@ -395,38 +395,24 @@ impl TiptoeClient {
 
     /// [`TiptoeClient::search`] through a serving plane: shard compute
     /// is routed through the plane's batch coalescers, so searches
-    /// issued by concurrent clients share database scans. Results are
-    /// bit-identical to [`TiptoeClient::search`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn search_served<E: Embedder>(
-        &mut self,
-        instance: &TiptoeInstance<E>,
-        query: &str,
-        k: usize,
-        serving: &ServingPlane<'_>,
-    ) -> SearchResults {
-        self.search_in_cluster(instance, query, k, None, None, Some(serving), None)
-            .expect("unbudgeted search cannot fail")
-    }
-
-    /// The overload-safe form of [`TiptoeClient::search_served`]: the
-    /// query first passes the plane's admission control (shed queries
-    /// return [`ServeError::Overloaded`] *before* consuming a token or
-    /// moving any bytes) and then runs under the plane's per-query
-    /// deadline budget, so a stalled lane or exhausted budget surfaces
-    /// as a typed [`ServeError::DeadlineExceeded`] instead of blocking.
-    /// With admission control disabled on the plane this is exactly
-    /// [`TiptoeClient::search_served`].
+    /// issued by concurrent clients share database scans, and results
+    /// are bit-identical to [`TiptoeClient::search`]. The query first
+    /// passes the plane's admission control (shed queries return
+    /// [`ServeError::Overloaded`] *before* consuming a token or moving
+    /// any bytes) and then runs under the plane's per-query deadline
+    /// budget, so a stalled lane or exhausted budget surfaces as a
+    /// typed [`ServeError::DeadlineExceeded`] instead of blocking.
+    /// With admission control disabled on the plane (the default)
+    /// neither layer is active and the call cannot fail on a healthy
+    /// deployment.
     ///
     /// # Errors
     ///
     /// [`ServeError::Overloaded`], [`ServeError::DeadlineExceeded`],
-    /// or [`ServeError::LaneFailed`]. A shed query consumed nothing; a
-    /// deadlined query consumed its token (the paper's tokens are
-    /// single-use) but returned no partial answer.
+    /// [`ServeError::LaneFailed`], or [`ServeError::ShardFailed`]. A
+    /// shed query consumed nothing; a failed query consumed its token
+    /// (the paper's tokens are single-use) but returned no partial
+    /// answer.
     ///
     /// # Panics
     ///
@@ -441,12 +427,12 @@ impl TiptoeClient {
         self.admitted_search(instance, query, k, None, serving)
     }
 
-    /// The overload-safe form of
-    /// [`TiptoeClient::search_served_with_faults`]: admission control
-    /// and deadline budgets compose with an explicit fault plan, so
-    /// the plane sheds excess load while the fault-aware dispatcher
-    /// (and the plane's circuit breakers, if enabled) handle the
-    /// injected faults underneath.
+    /// [`TiptoeClient::try_search_served`] under an explicit fault
+    /// plan: admission control and deadline budgets compose with the
+    /// plan, so the plane sheds excess load while the fault-aware
+    /// dispatcher (and the plane's circuit breakers, if enabled)
+    /// handle the injected faults underneath, and the healthy shards'
+    /// compute is still coalesced.
     ///
     /// # Errors
     ///
@@ -503,29 +489,6 @@ impl TiptoeClient {
             self.search_in_cluster(instance, query, k, None, plan, Some(serving), budget.as_ref());
         drop(permit);
         results
-    }
-
-    /// [`TiptoeClient::search_with_faults`] through a serving plane:
-    /// fault handling applies per query at the dispatch layer while
-    /// the healthy shards' compute is still coalesced underneath.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or the instance's fault policy is disabled.
-    pub fn search_served_with_faults<E: Embedder>(
-        &mut self,
-        instance: &TiptoeInstance<E>,
-        query: &str,
-        k: usize,
-        plan: &FaultPlan,
-        serving: &ServingPlane<'_>,
-    ) -> SearchResults {
-        assert!(
-            instance.config.fault_policy.enabled,
-            "search_served_with_faults needs an instance with fault_policy.enabled"
-        );
-        self.search_in_cluster(instance, query, k, None, Some(plan), Some(serving), None)
-            .expect("unbudgeted search cannot fail")
     }
 
     /// One private search under an explicit fault plan: the query runs
@@ -682,8 +645,8 @@ impl TiptoeClient {
             let _span = tiptoe_obs::span("client.rank_decrypt");
             let uh_rank = instance.ranking.underhood();
             let raw = match &mut prepared.rank {
-                RankTokens::Combined(token) => uh_rank.decrypt(token, &applied),
-                RankTokens::PerShard(parts) => {
+                RankingTokens::Combined(token) => uh_rank.decrypt(token, &applied),
+                RankingTokens::PerShard(parts) => {
                     if survivors.iter().any(|&ok| ok) {
                         let mut subset = combine_decoded_subset(parts, &survivors);
                         uh_rank.decrypt(&mut subset, &applied)

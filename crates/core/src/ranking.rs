@@ -20,7 +20,7 @@ use tiptoe_math::rng::derive_seed;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_math::zq::Word;
 use tiptoe_net::{
-    dispatch, DeadlineBudget, DispatchContext, Dispatched, FaultPlan, FaultPolicy, Ledger,
+    dispatch, timed, DeadlineBudget, DispatchContext, Dispatched, FaultPlan, FaultPolicy, Ledger,
     ParallelTiming, ServeError, Service,
 };
 use tiptoe_underhood::{
@@ -139,50 +139,6 @@ impl Service for RankAnswer<'_> {
 
     fn cluster_range(&self) -> Option<(usize, usize)> {
         Some((0, self.svc.cols / self.svc.d))
-    }
-}
-
-/// Token generation (§6.3) as a typed [`Service`]: each worker
-/// evaluates `Enc2(hint_w · s)` over its hint shard; parts stay
-/// separate (the combined-token path sums them afterwards).
-struct RankToken<'a> {
-    svc: &'a RankingService,
-}
-
-impl Service for RankToken<'_> {
-    type Request = ExpandedSecret;
-    type Part = QueryToken;
-    type Response = Vec<QueryToken>;
-
-    fn outer_span(&self) -> &'static str {
-        "rank.token"
-    }
-
-    fn shard_span(&self) -> &'static str {
-        "rank.token_shard"
-    }
-
-    fn num_shards(&self) -> usize {
-        self.svc.shards.len()
-    }
-
-    fn serve(&self, idx: usize, es: &ExpandedSecret) -> Result<Vec<u8>, ServeError> {
-        // Inside each shard the (chunk, limb) NTT multiply-accumulate
-        // units fan out across threads; the token is bit-identical to
-        // the sequential evaluation.
-        let threads = self.svc.parallelism.num_threads;
-        let shard = &self.svc.shards[idx];
-        let mut tokens =
-            self.svc.uh.generate_token_expanded_many(&shard.server_hint, &[es], threads);
-        Ok(tokens.swap_remove(0).encode())
-    }
-
-    fn parse(&self, _idx: usize, payload: &[u8]) -> Result<QueryToken, WireError> {
-        QueryToken::decode(payload)
-    }
-
-    fn combine(&self, parts: Vec<Option<QueryToken>>) -> Vec<QueryToken> {
-        parts.into_iter().flatten().collect()
     }
 }
 
@@ -378,11 +334,8 @@ impl RankingService {
         &self,
         es: &ExpandedSecret,
     ) -> (Vec<QueryToken>, ParallelTiming) {
-        let plan = FaultPlan::none();
-        let policy = FaultPolicy::default();
-        let d = dispatch(&RankToken { svc: self }, es, 0, DispatchContext::new(&plan, &policy), None)
-            .expect("healthy token dispatch cannot fail");
-        (d.response, d.timing)
+        let (mut parts, timing) = self.token_parts_timed(&[es]);
+        (parts.swap_remove(0), timing)
     }
 
     /// Batched per-shard token generation for `B` clients: every
@@ -397,24 +350,48 @@ impl RankingService {
         &self,
         secrets: &[&ExpandedSecret],
     ) -> Vec<Vec<QueryToken>> {
+        self.token_parts_timed(secrets).0
+    }
+
+    /// [`RankingService::generate_token_parts_expanded_many`] plus the
+    /// fan-out's [`ParallelTiming`] (`wall` = slowest shard, `cpu` =
+    /// summed shard time).
+    fn token_parts_timed(
+        &self,
+        secrets: &[&ExpandedSecret],
+    ) -> (Vec<Vec<QueryToken>>, ParallelTiming) {
         let mut span = tiptoe_obs::span("rank.token");
         span.attr_u64("batch", secrets.len() as u64);
+        // Inside each shard the (chunk, limb) NTT multiply-accumulate
+        // units fan out across threads; tokens are bit-identical to
+        // the sequential evaluation.
         let threads = self.parallelism.num_threads;
+        let mut timing = ParallelTiming::default();
         // [shard][client] — each shard evaluated once over the batch.
         let per_shard: Vec<Vec<QueryToken>> = self
             .shards
             .iter()
-            .map(|shard| {
+            .enumerate()
+            .map(|(idx, shard)| {
                 let mut s = tiptoe_obs::span("rank.token_shard");
+                if tiptoe_obs::enabled() {
+                    s.set_label(format!("{idx}"));
+                }
                 s.attr_u64("batch", secrets.len() as u64);
-                self.uh.generate_token_expanded_many(&shard.server_hint, secrets, threads)
+                let (tokens, t) = timed(|| {
+                    self.uh.generate_token_expanded_many(&shard.server_hint, secrets, threads)
+                });
+                timing.wall = timing.wall.max(t);
+                timing.cpu += t;
+                tokens
             })
             .collect();
         // Transpose to [client][shard] for the per-client bundles.
         let mut iters: Vec<_> = per_shard.into_iter().map(|v| v.into_iter()).collect();
-        (0..secrets.len())
+        let bundles = (0..secrets.len())
             .map(|_| iters.iter_mut().map(|it| it.next().expect("client count")).collect())
-            .collect()
+            .collect();
+        (bundles, timing)
     }
 
     /// The column range `[start, end)` served by shard `idx`.
@@ -496,50 +473,33 @@ impl RankingService {
         ct: &LweCiphertext<u64>,
         via: Option<&ServingPlane<'_>>,
     ) -> (Vec<u64>, ParallelTiming) {
-        let d = self.dispatch_answer(ct, &FaultPlan::none(), &FaultPolicy::default(), None, via);
+        let d = self
+            .try_dispatch_answer(ct, &FaultPlan::none(), &FaultPolicy::default(), None, via, None)
+            .expect("healthy shards deliver under a benign plan");
         (d.response, d.timing)
     }
 
     /// Dispatches an online ranking query through the typed service
     /// plane ([`tiptoe_net::dispatch`]): transcript accounting via
-    /// `ledger`, fault handling under `plan`/`policy` (healthy fan-out
-    /// when the policy is disabled), and optional batch coalescing via
-    /// the serving plane — one engine for every serving mode.
+    /// `ledger`, fault handling under `plan`/`policy`, optional batch
+    /// coalescing via the serving plane, and the overload-safety
+    /// layers — the query's deadline `budget` is checked before the
+    /// fan-out and charged with its wall time, and the plane's circuit
+    /// breakers (if enabled) gate per-shard traffic under an enabled
+    /// policy. One engine for every serving mode.
     ///
     /// With a benign plan every shard answers on the first attempt and
-    /// the response equals [`RankingService::answer`] exactly; shards
-    /// that never deliver contribute zero to the sum (see
-    /// [`RankingService::missing_clusters`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext dimension differs from `d·C` or an
-    /// enabled policy is invalid.
-    pub fn dispatch_answer(
-        &self,
-        ct: &LweCiphertext<u64>,
-        plan: &FaultPlan,
-        policy: &FaultPolicy,
-        ledger: Option<&Ledger<'_>>,
-        via: Option<&ServingPlane<'_>>,
-    ) -> Dispatched<Vec<u64>> {
-        self.try_dispatch_answer(ct, plan, policy, ledger, via, None)
-            .expect("unbudgeted dispatch cannot fail on a valid policy")
-    }
-
-    /// [`RankingService::dispatch_answer`] under the overload-safety
-    /// layers: the query's deadline `budget` is checked before the
-    /// fan-out and charged with its wall time, and the serving plane's
-    /// circuit breakers (if enabled) gate per-shard traffic on the
-    /// fault-aware path. Without a budget this cannot fail on a valid
-    /// policy — breakers alone only degrade the combine.
+    /// the response equals [`RankingService::answer`] exactly. Under an
+    /// enabled policy, shards that never deliver contribute zero to
+    /// the sum (see [`RankingService::missing_clusters`]).
     ///
     /// # Errors
     ///
     /// [`ServeError::DeadlineExceeded`] when the budget runs out,
     /// [`ServeError::LaneFailed`] on a permanently crashed coalescer
     /// lane, [`ServeError::InvalidPolicy`] on an invalid enabled
-    /// policy.
+    /// policy, [`ServeError::ShardFailed`] if a shard does not deliver
+    /// under a disabled policy.
     ///
     /// # Panics
     ///

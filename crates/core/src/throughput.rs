@@ -117,7 +117,9 @@ fn run_load<E: Embedder + Send + Sync>(
                     let q = &queries[(i + k) % queries.len()];
                     let t0 = Instant::now();
                     let results = match plane {
-                        Some(plane) => client.search_served(instance, &q.text, 10, plane),
+                        Some(plane) => client
+                            .try_search_served(instance, &q.text, 10, plane)
+                            .expect("admission is off on this plane"),
                         None => client.search(instance, &q.text, 10),
                     };
                     mine.push(t0.elapsed());
@@ -188,7 +190,9 @@ mod tests {
         let mut served = instance.new_client(9);
         for q in corpus.queries.iter().take(2) {
             let a = direct.search(&instance, &q.text, 10);
-            let b = served.search_served(&instance, &q.text, 10, &plane);
+            let b = served
+                .try_search_served(&instance, &q.text, 10, &plane)
+                .expect("admission is off on this plane");
             assert_eq!(a.cluster, b.cluster);
             assert_eq!(a.hits, b.hits, "coalesced search must be bit-identical");
         }

@@ -140,8 +140,10 @@ impl UrlService {
     /// Panics if the ciphertext dimension differs from the record
     /// count.
     pub fn answer(&self, ct: &LweCiphertext<u32>) -> (Vec<u32>, ParallelTiming) {
-        let d = self.dispatch_answer(ct, 0, &FaultPlan::none(), &FaultPolicy::default(), None, None);
-        (d.response.expect("healthy dispatch always answers"), d.timing)
+        let d = self
+            .try_dispatch_answer(ct, 0, &FaultPlan::none(), &FaultPolicy::default(), None, None, None)
+            .expect("a healthy server delivers under a benign plan");
+        (d.response.expect("a disabled policy never degrades"), d.timing)
     }
 
     /// Answers a batch of PIR queries in one pass over the database
@@ -154,38 +156,21 @@ impl UrlService {
     /// Dispatches an online PIR query through the typed service plane
     /// ([`tiptoe_net::dispatch`]): transcript accounting via `ledger`,
     /// fault handling under `plan`/`policy` (the server is addressed
-    /// as shard `shard_base` so ranking and URL share one plan), and
-    /// optional batch coalescing via the serving plane. The response
-    /// is `None` if the server never delivers a verified answer within
-    /// the deadline (impossible when the policy is disabled).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext dimension differs from the record
-    /// count or an enabled policy is invalid.
-    pub fn dispatch_answer(
-        &self,
-        ct: &LweCiphertext<u32>,
-        shard_base: usize,
-        plan: &FaultPlan,
-        policy: &FaultPolicy,
-        ledger: Option<&Ledger<'_>>,
-        via: Option<&ServingPlane<'_>>,
-    ) -> Dispatched<Option<Vec<u32>>> {
-        self.try_dispatch_answer(ct, shard_base, plan, policy, ledger, via, None)
-            .expect("unbudgeted dispatch cannot fail on a valid policy")
-    }
-
-    /// [`UrlService::dispatch_answer`] under the overload-safety
-    /// layers (deadline `budget` plus the serving plane's circuit
-    /// breakers — the URL server owns breaker `shard_base`).
+    /// as shard `shard_base` so ranking and URL share one plan),
+    /// optional batch coalescing via the serving plane, and the
+    /// overload-safety layers (deadline `budget` plus the plane's
+    /// circuit breakers — the URL server owns breaker `shard_base`).
+    /// The response is `None` if the server never delivers a verified
+    /// answer within the deadline (impossible when the policy is
+    /// disabled: the dispatch fails instead).
     ///
     /// # Errors
     ///
     /// [`ServeError::DeadlineExceeded`] when the budget runs out,
     /// [`ServeError::LaneFailed`] on a permanently crashed coalescer
     /// lane, [`ServeError::InvalidPolicy`] on an invalid enabled
-    /// policy.
+    /// policy, [`ServeError::ShardFailed`] if the server does not
+    /// deliver under a disabled policy.
     #[allow(clippy::too_many_arguments)]
     pub fn try_dispatch_answer(
         &self,

@@ -90,10 +90,18 @@ impl Embedder for TextEmbedder {
     fn embed_text(&self, text: &str) -> Vec<f32> {
         let tokens = Self::tokenize(text);
         let mut acc = vec![0.0f32; self.dim];
-        // Word unigrams (sub-linear term weighting, tf-style).
-        let mut counts: std::collections::HashMap<&str, f32> = std::collections::HashMap::new();
+        // Word unigrams (sub-linear term weighting, tf-style), summed
+        // in first-occurrence order: f32 addition is not associative,
+        // so a hash-map walk (randomly keyed per map) would change the
+        // embedding's last bits from call to call.
+        let mut slots: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
+        let mut counts: Vec<(&str, f32)> = Vec::new();
         for t in &tokens {
-            *counts.entry(t.as_str()).or_insert(0.0) += 1.0;
+            let slot = *slots.entry(t.as_str()).or_insert_with(|| {
+                counts.push((t.as_str(), 0.0));
+                counts.len() - 1
+            });
+            counts[slot].1 += 1.0;
         }
         for (t, c) in &counts {
             self.scatter(&mut acc, t, 1.0 + c.ln());

@@ -1,4 +1,4 @@
-//! Deterministic fault injection and fault-aware coordinator dispatch.
+//! Deterministic fault injection and the coordinator's shard fan-out.
 //!
 //! The paper's threat model (§2) disclaims availability under
 //! *malicious* servers, but its 45-machine deployment (§8) still has
@@ -13,18 +13,21 @@
 //! - [`FaultPolicy`]: the coordinator's recovery knobs — per-attempt
 //!   timeout, bounded retry with exponential backoff, an optional
 //!   hedged backup request, and an overall per-shard deadline.
-//! - [`seal`]/[`open`]: a checksummed response envelope so corrupted
-//!   or truncated payloads are *detected* (and fail into the retry
-//!   path as [`WireError`]s) instead of being decoded as garbage.
-//! - [`dispatch_faulty`]: the fault-aware replacement for
-//!   [`crate::simulate_parallel`] on the query path. It executes
-//!   shards sequentially but accounts for them in **virtual time**:
-//!   a crashed worker costs one attempt timeout of wall-clock and no
-//!   CPU; a straggler's virtual latency is `measured · factor +
+//! - [`seal_traced`]/[`open_traced`]: the checksummed `TPT2` response
+//!   envelope every shard answer crosses, so corrupted or truncated
+//!   payloads are *detected* (and fail into the retry path as
+//!   [`WireError`]s) instead of being decoded as garbage.
+//! - the attempt loop behind [`crate::dispatch`], the one coordinator
+//!   fan-out of §4.3. It executes shards sequentially but accounts for
+//!   them in **virtual time**: a healthy shard costs its measured
+//!   compute; a crashed worker costs one attempt timeout of wall-clock
+//!   and no CPU; a straggler's virtual latency is `measured · factor +
 //!   extra`; retries add backoff; hedged requests launch at
-//!   `hedge_after`. The resulting [`FaultReport`] feeds the same
-//!   [`ParallelTiming`] accounting the healthy path uses, so injected
-//!   faults are visible in latency numbers.
+//!   `hedge_after`. The resulting [`FaultReport`] carries the
+//!   [`ParallelTiming`] (`wall` = slowest shard, `cpu` = summed work),
+//!   so injected faults are visible in latency numbers. A disabled
+//!   policy runs the same loop with one attempt per shard, no
+//!   timeout, no retry and no hedge.
 //!
 //! Determinism: every fault decision derives from the plan seed and
 //! the `(shard, attempt)` address, never from wall-clock time. The
@@ -44,13 +47,9 @@ use crate::{timed, ParallelTiming};
 /// length fields).
 pub const MAX_ENVELOPE_PAYLOAD: usize = 1 << 30;
 
-/// Bytes added by [`seal`]: magic, length, checksum.
-pub const ENVELOPE_OVERHEAD: usize = 16;
-
 /// Bytes added by [`seal_traced`]: magic, length, trace id, checksum.
 pub const TRACED_ENVELOPE_OVERHEAD: usize = 24;
 
-const ENVELOPE_MAGIC: u32 = 0x5450_5431; // "TPT1"
 const TRACED_ENVELOPE_MAGIC: u32 = 0x5450_5432; // "TPT2"
 
 /// Attempt-number namespace bit for hedged backup requests, so a
@@ -67,59 +66,12 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a 64-bit checksum (cheap, deterministic, and plenty to detect
-/// the random corruption this harness injects; not cryptographic).
-pub fn checksum(bytes: &[u8]) -> u64 {
-    fnv1a(FNV_OFFSET, bytes)
-}
-
-/// Checksum of a traced envelope: covers the trace id *and* the
-/// payload, so a flipped header bit is detected exactly like a
-/// flipped payload bit.
+/// Checksum of a traced envelope: FNV-1a 64 over the trace id *and*
+/// the payload (cheap, deterministic, and plenty to detect the random
+/// corruption this harness injects; not cryptographic), so a flipped
+/// header bit is detected exactly like a flipped payload bit.
 fn traced_checksum(trace_id: u64, payload: &[u8]) -> u64 {
     fnv1a(fnv1a(FNV_OFFSET, &trace_id.to_le_bytes()), payload)
-}
-
-/// Wraps a shard response payload in the checksummed wire envelope.
-///
-/// # Panics
-///
-/// Panics if the payload exceeds [`MAX_ENVELOPE_PAYLOAD`].
-pub fn seal(payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_ENVELOPE_PAYLOAD, "envelope payload too large");
-    let mut w = WireWriter::with_capacity(payload.len() + ENVELOPE_OVERHEAD);
-    w.put_u32(ENVELOPE_MAGIC);
-    w.put_u32(payload.len() as u32);
-    w.put_u64(checksum(payload));
-    w.put_bytes(payload);
-    w.finish()
-}
-
-/// Verifies and unwraps a sealed response.
-///
-/// # Errors
-///
-/// Fails on truncation, a bad magic, an oversize declared length,
-/// trailing bytes, or a checksum mismatch — every corruption mode the
-/// fault plan can inject maps onto one of these.
-pub fn open(bytes: &[u8]) -> Result<&[u8], WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_u32()? != ENVELOPE_MAGIC {
-        return Err(WireError::Invalid("bad envelope magic"));
-    }
-    let len = r.get_u32()? as usize;
-    if len > MAX_ENVELOPE_PAYLOAD {
-        return Err(WireError::Invalid("envelope payload too large"));
-    }
-    let sum = r.get_u64()?;
-    let payload = r.get_bytes(len)?;
-    if r.remaining() != 0 {
-        return Err(WireError::Invalid("trailing bytes after envelope"));
-    }
-    if checksum(payload) != sum {
-        return Err(WireError::Invalid("envelope checksum mismatch"));
-    }
-    Ok(payload)
 }
 
 /// Wraps a shard response in the TPT2 envelope, which additionally
@@ -148,8 +100,10 @@ pub fn seal_traced(payload: &[u8], trace_id: u64) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Fails on the same corruption modes as [`open`]; the checksum
-/// covers the trace id, so header flips are caught too.
+/// Fails on truncation, a bad magic, an oversize declared length,
+/// trailing bytes, or a checksum mismatch — every corruption mode the
+/// fault plan can inject maps onto one of these. The checksum covers
+/// the trace id, so header flips are caught too.
 pub fn open_traced(bytes: &[u8]) -> Result<(u64, &[u8]), WireError> {
     let mut r = WireReader::new(bytes);
     if r.get_u32()? != TRACED_ENVELOPE_MAGIC {
@@ -382,13 +336,16 @@ fn unit_draw(seed: u64, shard: u64, attempt: u64) -> f64 {
 
 /// The coordinator's recovery policy.
 ///
-/// Disabled by default: with `enabled == false` the query path uses
-/// the raw [`crate::simulate_parallel`] fan-out and is bit-identical
-/// to the pre-fault-tolerance behavior.
+/// Disabled by default: with `enabled == false` the query path runs
+/// the same fan-out with one attempt per shard and no timeout, retry
+/// or hedge (the remaining knobs are ignored and never validated),
+/// and clients fetch combined tokens. A shard that does not deliver
+/// then fails the dispatch with [`ServeError::ShardFailed`]: a client
+/// holding a combined token cannot decrypt a subset of shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
-    /// Whether the fault-aware dispatch (and the per-shard token path
-    /// it requires) is active.
+    /// Whether the recovery knobs below (and the per-shard token path
+    /// that survivor-subset decryption requires) are active.
     pub enabled: bool,
     /// Per-attempt, per-shard timeout: a worker that has not delivered
     /// a verifiable response by then is abandoned.
@@ -424,6 +381,19 @@ impl FaultPolicy {
     /// The default recovery knobs with fault tolerance switched on.
     pub fn tolerant() -> Self {
         Self { enabled: true, ..Self::default() }
+    }
+
+    /// The attempt loop's reading of a disabled policy: one attempt
+    /// per shard, no timeout, no retry, no hedge.
+    pub(crate) fn single_attempt() -> Self {
+        Self {
+            enabled: false,
+            attempt_timeout: Duration::MAX,
+            max_retries: 0,
+            backoff: Duration::ZERO,
+            hedge_after: None,
+            deadline: Duration::MAX,
+        }
     }
 
     /// Tunes the hedge delay from an observed response-time histogram
@@ -529,7 +499,7 @@ impl FaultReport {
 /// The observed response-time histogram (microseconds of virtual
 /// wall-clock per successful delivery) for plan shard address
 /// `plan_shard` — i.e. `shard_base + idx` as seen by
-/// [`dispatch_faulty`]. Feed it to [`FaultPolicy::hedge_from_histogram`]
+/// [`crate::dispatch`]. Feed it to [`FaultPolicy::hedge_from_histogram`]
 /// to auto-tune the hedge delay; the unlabeled
 /// `net.shard_response_us` series aggregates all shards.
 pub fn shard_response_histogram(plan_shard: usize) -> tiptoe_obs::Histogram {
@@ -547,79 +517,62 @@ enum Delivery<R> {
     Bad { at: Duration, bytes: u64 },
 }
 
-/// Fault-aware coordinator fan-out: the drop-in replacement for
-/// [`crate::simulate_parallel`] on the query path.
+/// The coordinator fan-out behind [`crate::dispatch`].
 ///
 /// `serve` produces shard `idx`'s raw response payload (the worker
 /// compute) or fails typed (e.g. a coalescer lane refused the request
 /// within the query's deadline budget — a serve error aborts the
 /// whole dispatch, since the query can no longer finish in budget);
-/// the dispatcher seals the payload in the checksummed envelope,
-/// injects any planned fault, verifies the envelope, and hands it to
-/// `parse`. A shard whose attempts are exhausted (or whose deadline
-/// is spent) yields `None` and the caller degrades.
+/// the loop seals the payload in the `TPT2` envelope, injects any
+/// planned fault, verifies the envelope, and hands it to `parse`. A
+/// shard whose attempts are exhausted (or whose deadline is spent)
+/// yields `None`. A shard gated [`ShardGate::Skip`] is not dispatched
+/// at all — it is reported as failed with zero attempts and zero wall
+/// (its breaker already knows it is down; waiting out its timeouts
+/// again would just burn the query's deadline budget).
 ///
-/// `shard_base` offsets the plan's shard address space, so several
-/// services can share one plan (the ranking shards take `0..W`, the
-/// URL server `W`).
+/// Every shard runs under a `shard_span` span labeled with its index
+/// and carrying `attempts`/`hedged`/`ok` attributes. `shard_base`
+/// offsets the plan's (and the recorder's) shard address space.
 ///
 /// Timing is virtual (see the module docs) and deterministic in the
 /// plan wherever fault delays are expressed as fixed `extra` delays.
 ///
 /// # Errors
 ///
-/// [`ServeError::InvalidPolicy`] on an invalid policy; any
+/// [`ServeError::InvalidPolicy`] on an invalid enabled policy; any
 /// [`ServeError`] from `serve` is propagated.
-pub fn dispatch_faulty<T, R>(
-    shards: &[T],
-    shard_base: usize,
-    plan: &FaultPlan,
-    policy: &FaultPolicy,
-    serve: impl FnMut(usize, &T) -> Result<Vec<u8>, ServeError>,
-    parse: impl FnMut(usize, &[u8]) -> Result<R, WireError>,
-) -> Result<(Vec<Option<R>>, FaultReport), ServeError> {
-    dispatch_faulty_gated(shards, shard_base, plan, policy, None, serve, parse)
-}
-
-/// [`dispatch_faulty`] with per-shard circuit-breaker gates: a shard
-/// gated [`ShardGate::Skip`] is not dispatched at all — it is
-/// reported as failed with zero attempts and zero wall (the breaker
-/// already knows it is down; waiting out its timeouts again would
-/// just burn the query's deadline budget), and the query degrades to
-/// survivor-subset decryption over the remaining shards.
-/// [`ShardGate::Serve`] and [`ShardGate::Probe`] dispatch normally.
-///
-/// # Errors
-///
-/// As [`dispatch_faulty`].
 ///
 /// # Panics
 ///
-/// Panics if `gates` is provided with a length other than
-/// `shards.len()`.
-pub fn dispatch_faulty_gated<T, R>(
-    shards: &[T],
+/// Panics if `gates` is provided with a length other than `shards`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fan_out<R>(
+    shards: usize,
     shard_base: usize,
+    shard_span: &'static str,
     plan: &FaultPlan,
     policy: &FaultPolicy,
     gates: Option<&[ShardGate]>,
-    mut serve: impl FnMut(usize, &T) -> Result<Vec<u8>, ServeError>,
+    mut serve: impl FnMut(usize) -> Result<Vec<u8>, ServeError>,
     mut parse: impl FnMut(usize, &[u8]) -> Result<R, WireError>,
 ) -> Result<(Vec<Option<R>>, FaultReport), ServeError> {
-    policy.validate()?;
+    if policy.enabled {
+        policy.validate()?;
+    }
     if let Some(g) = gates {
-        assert_eq!(g.len(), shards.len(), "one gate per shard");
+        assert_eq!(g.len(), shards, "one gate per shard");
     }
     let mut report = FaultReport::default();
-    let mut results: Vec<Option<R>> = Vec::with_capacity(shards.len());
+    let mut results: Vec<Option<R>> = Vec::with_capacity(shards);
     let mut cpu_total = Duration::ZERO;
     let mut wall_max = Duration::ZERO;
 
-    for (idx, shard) in shards.iter().enumerate() {
+    for idx in 0..shards {
         let gate = gates.map_or(ShardGate::Serve, |g| g[idx]);
-        let mut span = tiptoe_obs::span("net.shard");
+        let mut span = tiptoe_obs::span(shard_span);
         if tiptoe_obs::enabled() {
-            span.set_label(format!("{}", shard_base + idx));
+            span.set_label(format!("{idx}"));
         }
         if gate == ShardGate::Skip {
             span.attr_u64("attempts", 0);
@@ -660,7 +613,7 @@ pub fn dispatch_faulty_gated<T, R>(
 
             // Primary attempt.
             let (primary, cpu) =
-                run_attempt(idx, shard, attempts, shard_base, plan, policy, &mut serve, &mut parse)?;
+                run_attempt(idx, attempts, shard_base, plan, policy, &mut serve, &mut parse)?;
             shard_cpu += cpu;
             let primary_fail_at = match &primary {
                 Delivery::Ok { .. } => None,
@@ -687,7 +640,6 @@ pub fn dispatch_faulty_gated<T, R>(
                     hedged = true;
                     let (backup, hcpu) = run_attempt(
                         idx,
-                        shard,
                         attempts | HEDGE_FLAG,
                         shard_base,
                         plan,
@@ -778,90 +730,59 @@ fn mirror_report_metrics(report: &FaultReport) {
     m.counter("net.failed_shards").add(report.shards.iter().filter(|s| !s.ok).count() as u64);
 }
 
-/// Dynamic view of the caller's payload parser, passed down to the
-/// delivery closure.
-type ParseFn<'a, R> = &'a mut dyn FnMut(usize, &[u8]) -> Result<R, WireError>;
-
 /// Executes one attempt (identified by its plan address) in virtual
 /// time; returns the delivery outcome and the real CPU spent, or
 /// propagates a typed serve failure (which aborts the dispatch).
-#[allow(clippy::too_many_arguments)]
-fn run_attempt<T, R>(
+fn run_attempt<R>(
     idx: usize,
-    shard: &T,
     attempt_no: u32,
     shard_base: usize,
     plan: &FaultPlan,
     policy: &FaultPolicy,
-    serve: &mut impl FnMut(usize, &T) -> Result<Vec<u8>, ServeError>,
+    serve: &mut impl FnMut(usize) -> Result<Vec<u8>, ServeError>,
     parse: &mut impl FnMut(usize, &[u8]) -> Result<R, WireError>,
 ) -> Result<(Delivery<R>, Duration), ServeError> {
     let plan_shard = shard_base + idx;
+    let fault = plan.fault_for(plan_shard, attempt_no);
+    if fault == Some(FaultKind::Crash) {
+        return Ok((Delivery::TimedOut, Duration::ZERO));
+    }
+    let (payload, t) = timed(|| serve(idx));
+    let payload = payload?;
+    // Stragglers answer late and may miss the attempt timeout;
+    // corrupted and truncated responses arrive on time.
+    let at = match fault {
+        Some(FaultKind::Straggle { factor, extra }) => t.mul_f64(factor.max(0.0)) + extra,
+        _ => t,
+    };
+    let mangled = matches!(fault, Some(FaultKind::Corrupt | FaultKind::Truncate));
+    if at > policy.attempt_timeout && !mangled {
+        return Ok((Delivery::TimedOut, t));
+    }
     // `run_attempt` executes on the query's own dispatching thread,
     // so the thread-local query id *is* the originating query: the
     // TPT2 envelope carries it to (and back from) the shard, which is
     // how per-shard work stays attributable after the response hops
     // threads.
-    let trace_id = tiptoe_obs::current_query();
-    let deliver = |payload: Vec<u8>, at: Duration, parse: ParseFn<'_, R>| {
-        let sealed = seal_traced(&payload, trace_id);
-        let bytes = sealed.len() as u64;
-        match open_traced(&sealed).and_then(|(_, p)| parse(idx, p)) {
-            Ok(value) => Delivery::Ok { value, at },
-            Err(_) => Delivery::Bad { at, bytes },
-        }
-    };
-    match plan.fault_for(plan_shard, attempt_no) {
-        Some(FaultKind::Crash) => Ok((Delivery::TimedOut, Duration::ZERO)),
-        Some(FaultKind::Straggle { factor, extra }) => {
-            let (payload, t) = timed(|| serve(idx, shard));
-            let payload = payload?;
-            let virtual_t = t.mul_f64(factor.max(0.0)) + extra;
-            if virtual_t > policy.attempt_timeout {
-                Ok((Delivery::TimedOut, t))
-            } else {
-                Ok((deliver(payload, virtual_t, parse), t))
-            }
-        }
+    let mut sealed = seal_traced(&payload, tiptoe_obs::current_query());
+    match fault {
         Some(FaultKind::Corrupt) => {
-            let (payload, t) = timed(|| serve(idx, shard));
-            let mut sealed = seal_traced(&payload?, trace_id);
-            corrupt_in_place(&mut sealed, TRACED_ENVELOPE_OVERHEAD, plan.seed(), plan_shard, attempt_no);
-            let bytes = sealed.len() as u64;
-            let outcome = match open_traced(&sealed).and_then(|(_, p)| parse(idx, p)) {
-                Ok(value) => Delivery::Ok { value, at: t },
-                Err(_) => Delivery::Bad { at: t, bytes },
-            };
-            Ok((outcome, t))
+            corrupt_in_place(&mut sealed, plan.seed(), plan_shard, attempt_no);
         }
-        Some(FaultKind::Truncate) => {
-            let (payload, t) = timed(|| serve(idx, shard));
-            let sealed = seal_traced(&payload?, trace_id);
-            let cut = &sealed[..sealed.len() / 2];
-            let bytes = cut.len() as u64;
-            let outcome = match open_traced(cut).and_then(|(_, p)| parse(idx, p)) {
-                Ok(value) => Delivery::Ok { value, at: t },
-                Err(_) => Delivery::Bad { at: t, bytes },
-            };
-            Ok((outcome, t))
-        }
-        None => {
-            let (payload, t) = timed(|| serve(idx, shard));
-            let payload = payload?;
-            if t > policy.attempt_timeout {
-                Ok((Delivery::TimedOut, t))
-            } else {
-                Ok((deliver(payload, t, parse), t))
-            }
-        }
+        Some(FaultKind::Truncate) => sealed.truncate(sealed.len() / 2),
+        _ => {}
     }
+    let outcome = match open_traced(&sealed).and_then(|(_, p)| parse(idx, p)) {
+        Ok(value) => Delivery::Ok { value, at },
+        Err(_) => Delivery::Bad { at, bytes: sealed.len() as u64 },
+    };
+    Ok((outcome, t))
 }
 
 /// Deterministically flips one payload byte of a sealed response (the
 /// envelope checksum is guaranteed to catch a single-byte change).
-/// `overhead` is the sealing format's header size
-/// ([`ENVELOPE_OVERHEAD`] or [`TRACED_ENVELOPE_OVERHEAD`]).
-fn corrupt_in_place(sealed: &mut [u8], overhead: usize, seed: u64, shard: usize, attempt: u32) {
+fn corrupt_in_place(sealed: &mut [u8], seed: u64, shard: usize, attempt: u32) {
+    let overhead = TRACED_ENVELOPE_OVERHEAD;
     let draw = unit_draw(seed ^ 0xc0de, shard as u64, attempt as u64);
     if sealed.len() > overhead {
         let span = sealed.len() - overhead;
@@ -876,13 +797,9 @@ fn corrupt_in_place(sealed: &mut [u8], overhead: usize, seed: u64, shard: usize,
 mod tests {
     use super::*;
 
-    fn echo_shards(n: usize) -> Vec<u64> {
-        (0..n as u64).collect()
-    }
-
-    fn serve_ok(_: usize, s: &u64) -> Result<Vec<u8>, ServeError> {
+    fn serve_ok(idx: usize) -> Result<Vec<u8>, ServeError> {
         let mut w = WireWriter::new();
-        w.put_u64(*s * 10);
+        w.put_u64(idx as u64 * 10);
         Ok(w.finish())
     }
 
@@ -893,28 +810,40 @@ mod tests {
         Ok(v)
     }
 
+    /// The attempt loop over `n` ungated shards; shard `i` answers
+    /// `10·i`.
+    fn run(
+        n: usize,
+        shard_base: usize,
+        plan: &FaultPlan,
+        policy: &FaultPolicy,
+    ) -> Result<(Vec<Option<u64>>, FaultReport), ServeError> {
+        fan_out(n, shard_base, "test.shard", plan, policy, None, serve_ok, parse_ok)
+    }
+
     #[test]
     fn envelope_roundtrips_and_detects_tampering() {
         let payload = b"ranking shard answer".to_vec();
-        let sealed = seal(&payload);
-        assert_eq!(sealed.len(), payload.len() + ENVELOPE_OVERHEAD);
-        assert_eq!(open(&sealed).expect("opens"), &payload[..]);
+        let sealed = seal_traced(&payload, 7);
+        assert_eq!(sealed.len(), payload.len() + TRACED_ENVELOPE_OVERHEAD);
+        assert_eq!(open_traced(&sealed).expect("opens"), (7, &payload[..]));
         // Any single-byte flip in the payload is detected.
-        for pos in ENVELOPE_OVERHEAD..sealed.len() {
+        for pos in TRACED_ENVELOPE_OVERHEAD..sealed.len() {
             let mut bad = sealed.clone();
             bad[pos] ^= 0x01;
-            assert!(open(&bad).is_err(), "flip at {pos} not detected");
+            assert!(open_traced(&bad).is_err(), "flip at {pos} not detected");
         }
         // Truncation at every length is detected.
         for cut in 0..sealed.len() {
-            assert!(open(&sealed[..cut]).is_err(), "cut at {cut} not detected");
+            assert!(open_traced(&sealed[..cut]).is_err(), "cut at {cut} not detected");
         }
         // Oversize declared length is rejected without allocating.
         let mut w = WireWriter::new();
-        w.put_u32(ENVELOPE_MAGIC);
+        w.put_u32(TRACED_ENVELOPE_MAGIC);
         w.put_u32(u32::MAX);
         w.put_u64(0);
-        assert!(open(&w.finish()).is_err());
+        w.put_u64(0);
+        assert!(open_traced(&w.finish()).is_err());
     }
 
     #[test]
@@ -937,9 +866,11 @@ mod tests {
         for cut in 0..sealed.len() {
             assert!(open_traced(&sealed[..cut]).is_err(), "cut at {cut} not detected");
         }
-        // The two formats never cross-open.
-        assert!(open(&sealed).is_err(), "TPT1 opener must reject TPT2");
-        assert!(open_traced(&seal(&payload)).is_err(), "TPT2 opener must reject TPT1");
+        // An otherwise valid envelope under the retired TPT1 magic is
+        // rejected.
+        let mut tpt1 = sealed.clone();
+        tpt1[..4].copy_from_slice(&0x5450_5431_u32.to_le_bytes());
+        assert!(open_traced(&tpt1).is_err(), "TPT2 opener must reject TPT1");
         // Query id 0 (outside any scope) round-trips too.
         let (id0, _) = open_traced(&seal_traced(&payload, 0)).expect("opens");
         assert_eq!(id0, 0);
@@ -947,16 +878,9 @@ mod tests {
 
     #[test]
     fn benign_plan_dispatch_answers_every_shard() {
-        let shards = echo_shards(4);
-        let (results, report) = dispatch_faulty(
-            &shards,
-            0,
-            &FaultPlan::none(),
-            &FaultPolicy::tolerant(),
-            serve_ok,
-            parse_ok,
-        )
-        .expect("dispatch");
+        let shards = 4;
+        let (results, report) =
+            run(shards, 0, &FaultPlan::none(), &FaultPolicy::tolerant()).expect("dispatch");
         assert_eq!(results, vec![Some(0), Some(10), Some(20), Some(30)]);
         assert!(report.all_ok());
         assert_eq!(report.retries, 0);
@@ -967,11 +891,11 @@ mod tests {
 
     #[test]
     fn crashed_shard_fails_with_timeout_accounting() {
-        let shards = echo_shards(3);
+        let shards = 3;
         let plan = FaultPlan::none().crash_shard(1);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = run(shards, 0, &plan, &policy).expect("dispatch");
         assert_eq!(results[0], Some(0));
         assert_eq!(results[1], None);
         assert_eq!(results[2], Some(20));
@@ -986,11 +910,11 @@ mod tests {
 
     #[test]
     fn flaky_shard_recovers_after_retries() {
-        let shards = echo_shards(2);
+        let shards = 2;
         let plan = FaultPlan::none().flaky_then_recover(0, 2);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = run(shards, 0, &plan, &policy).expect("dispatch");
         assert_eq!(results, vec![Some(0), Some(10)]);
         assert!(report.all_ok());
         assert_eq!(report.retries, 2);
@@ -1002,13 +926,12 @@ mod tests {
 
     #[test]
     fn corrupt_and_truncated_responses_fail_into_retry() {
-        let shards = echo_shards(2);
+        let shards = 2;
         for kind in [FaultKind::Corrupt, FaultKind::Truncate] {
             let plan = FaultPlan::none().with_fault(1, 0, kind);
             let mut policy = FaultPolicy::tolerant();
             policy.hedge_after = None;
-            let (results, report) =
-                dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+            let (results, report) = run(shards, 0, &plan, &policy).expect("dispatch");
             assert_eq!(results, vec![Some(0), Some(10)], "{kind:?}");
             assert_eq!(report.corrupted, 1, "{kind:?}");
             assert_eq!(report.retries, 1, "{kind:?}");
@@ -1018,12 +941,12 @@ mod tests {
 
     #[test]
     fn hedge_beats_deterministic_straggler() {
-        let shards = echo_shards(3);
+        let shards = 3;
         // Shard 2 straggles by a fixed 10 s — far beyond the timeout —
         // so the primary is abandoned and the hedge (healthy) wins.
         let plan = FaultPlan::none().straggle_shard(2, 1.0, Duration::from_secs(10));
         let policy = FaultPolicy::tolerant();
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = run(shards, 0, &plan, &policy).expect("dispatch");
         // The sticky straggler also delays the hedge, which still
         // arrives... no: sticky applies to every attempt, so the hedge
         // straggles too and the shard exhausts its attempts.
@@ -1038,8 +961,7 @@ mod tests {
             0,
             FaultKind::Straggle { factor: 10.0, extra: Duration::from_secs(10) },
         );
-        let (results, report) =
-            dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = run(shards, 0, &plan, &policy).expect("dispatch");
         assert_eq!(results[2], Some(20));
         assert!(report.shards[2].ok);
         assert_eq!(report.shards[2].attempts, 1, "hedge consumed no retry");
@@ -1052,12 +974,12 @@ mod tests {
 
     #[test]
     fn slow_straggler_within_timeout_just_arrives_late() {
-        let shards = echo_shards(2);
+        let shards = 2;
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
         // 60 ms fixed virtual delay < 250 ms timeout: arrives, verified.
         let plan = FaultPlan::none().straggle_shard(0, 1.0, Duration::from_millis(60));
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = run(shards, 0, &plan, &policy).expect("dispatch");
         assert_eq!(results, vec![Some(0), Some(10)]);
         assert!(report.all_ok());
         assert!(report.shards[0].wall >= Duration::from_millis(60));
@@ -1083,26 +1005,25 @@ mod tests {
 
     #[test]
     fn shard_base_offsets_the_plan_address_space() {
-        let shards = echo_shards(1);
+        let shards = 1;
         let plan = FaultPlan::none().crash_shard(5);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
-        let (hit, _) =
-            dispatch_faulty(&shards, 5, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (hit, _) = run(shards, 5, &plan, &policy).expect("dispatch");
         assert_eq!(hit, vec![None]);
-        let (miss, _) = dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (miss, _) = run(shards, 0, &plan, &policy).expect("dispatch");
         assert_eq!(miss, vec![Some(0)]);
     }
 
     #[test]
     fn deadline_caps_retry_spending() {
-        let shards = echo_shards(1);
+        let shards = 1;
         let plan = FaultPlan::none().crash_shard(0);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
         policy.max_retries = 100;
         policy.deadline = Duration::from_millis(600);
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = run(shards, 0, &plan, &policy).expect("dispatch");
         assert_eq!(results, vec![None]);
         // 600 ms budget / 250 ms timeouts: at most 3 attempts launch.
         assert!(report.shards[0].attempts <= 3, "{}", report.shards[0].attempts);
@@ -1113,15 +1034,13 @@ mod tests {
     fn hedge_from_histogram_beats_fixed_delay() {
         // Shard base 7000 keeps this test's histogram labels disjoint
         // from every other test sharing the global registry.
-        let shards = echo_shards(4);
+        let shards = 4;
         let fixed = FaultPolicy::tolerant();
 
         // Warm-up: healthy dispatches populate the per-shard
         // response-time histograms with observed (fast) latencies.
         for _ in 0..20 {
-            let (_, report) =
-                dispatch_faulty(&shards, 7000, &FaultPlan::none(), &fixed, serve_ok, parse_ok)
-                    .expect("dispatch");
+            let (_, report) = run(shards, 7000, &FaultPlan::none(), &fixed).expect("dispatch");
             assert!(report.all_ok());
         }
         let observed = shard_response_histogram(7002);
@@ -1148,12 +1067,8 @@ mod tests {
                 FaultKind::Straggle { factor: 1.0, extra: Duration::from_secs(10) },
             )
         };
-        let (fixed_res, fixed_report) =
-            dispatch_faulty(&shards, 7000, &straggler(), &fixed, serve_ok, parse_ok)
-                .expect("dispatch");
-        let (tuned_res, tuned_report) =
-            dispatch_faulty(&shards, 7000, &straggler(), &tuned, serve_ok, parse_ok)
-                .expect("dispatch");
+        let (fixed_res, fixed_report) = run(shards, 7000, &straggler(), &fixed).expect("dispatch");
+        let (tuned_res, tuned_report) = run(shards, 7000, &straggler(), &tuned).expect("dispatch");
         assert_eq!(fixed_res[2], Some(20));
         assert_eq!(tuned_res[2], Some(20));
         assert!(
@@ -1182,33 +1097,32 @@ mod tests {
         assert_eq!(p.validate().expect_err("late hedge").field, "fault_policy.hedge_after");
         // An invalid policy surfaces through dispatch as a typed
         // error, not a panic.
-        let err = dispatch_faulty(&echo_shards(1), 0, &FaultPlan::none(), &p, serve_ok, parse_ok)
-            .expect_err("invalid policy rejected");
+        let err = run(1, 0, &FaultPlan::none(), &p).expect_err("invalid policy rejected");
         assert!(matches!(err, ServeError::InvalidPolicy(_)), "{err:?}");
     }
 
     #[test]
     fn correlated_crash_takes_down_the_whole_group() {
-        let shards = echo_shards(4);
+        let shards = 4;
         let plan = FaultPlan::none().correlated_crash(&[1, 2]);
         assert!(!plan.is_benign());
         assert_eq!(plan.correlated_groups(), &[vec![1, 2]]);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
         policy.max_retries = 0;
-        let (results, report) =
-            dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = run(shards, 0, &plan, &policy).expect("dispatch");
         assert_eq!(results, vec![Some(0), None, None, Some(30)]);
         assert_eq!(report.failed_shards(), vec![1, 2], "the whole AZ fails together");
     }
 
     #[test]
     fn skip_gates_fail_shards_without_burning_attempts() {
-        let shards = echo_shards(3);
+        let shards = 3;
         let gates = [ShardGate::Serve, ShardGate::Skip, ShardGate::Probe];
-        let (results, report) = dispatch_faulty_gated(
-            &shards,
+        let (results, report) = fan_out(
+            shards,
             0,
+            "test.shard",
             &FaultPlan::none(),
             &FaultPolicy::tolerant(),
             Some(&gates),
@@ -1226,17 +1140,19 @@ mod tests {
 
     #[test]
     fn serve_errors_abort_the_dispatch() {
-        let shards = echo_shards(2);
+        let shards = 2;
         let budget_err = ServeError::DeadlineExceeded {
             budget: Duration::from_millis(5),
             spent: Duration::from_millis(9),
         };
-        let err = dispatch_faulty(
-            &shards,
+        let err = fan_out(
+            shards,
             0,
+            "test.shard",
             &FaultPlan::none(),
             &FaultPolicy::tolerant(),
-            |idx, s| if idx == 1 { Err(budget_err) } else { serve_ok(idx, s) },
+            None,
+            |idx| if idx == 1 { Err(budget_err) } else { serve_ok(idx) },
             parse_ok,
         )
         .expect_err("serve failure propagates");

@@ -6,12 +6,17 @@
 //! The paper runs on 45 AWS machines; this workspace runs on one. The
 //! cluster is therefore *simulated with full structural fidelity*:
 //! shards execute the same code a worker machine would, one at a time,
-//! and [`simulate_parallel`] reports
+//! through one fan-out ([`dispatch`]) whose answers all cross the
+//! checksummed `TPT2` envelope, and its [`ParallelTiming`] reports
 //!
 //! - `cpu`: the summed execution time (→ the paper's "core-seconds",
 //!   which count every vCPU paid for), and
 //! - `wall`: the maximum per-shard time (→ the latency a perfectly
 //!   parallel fan-out would achieve).
+//!
+//! A disabled [`FaultPolicy`] runs that fan-out with one attempt per
+//! shard; an enabled one adds timeouts, retries and hedging, and
+//! [`FaultPlan`] injects faults into either.
 //!
 //! Every protocol message crosses a [`Transcript`], which records its
 //! exact wire size per phase and direction; the end-to-end latency of
@@ -29,9 +34,8 @@ pub use coalesce::{
     chaos_inject_reactor_panic, CoalescePolicy, Coalescer, LaneStatus, MAX_LANE_RETRIES,
 };
 pub use fault::{
-    dispatch_faulty, dispatch_faulty_gated, open, open_traced, seal, seal_traced,
-    shard_response_histogram, FaultKind, FaultPlan, FaultPolicy, FaultRates, FaultReport,
-    ShardReport, TRACED_ENVELOPE_OVERHEAD,
+    open_traced, seal_traced, shard_response_histogram, FaultKind, FaultPlan, FaultPolicy,
+    FaultRates, FaultReport, ShardReport, TRACED_ENVELOPE_OVERHEAD,
 };
 pub use overload::{
     AdmissionController, AdmissionPermit, AdmissionPolicy, BreakerBank, BreakerPolicy,
@@ -266,24 +270,6 @@ impl ParallelTiming {
     }
 }
 
-/// Runs `f` over every shard, measuring per-shard time; returns the
-/// results plus [`ParallelTiming`] (`wall` = slowest shard, `cpu` =
-/// sum). This models the coordinator fan-out of §4.3 on a single
-/// machine without letting scheduler interleaving distort the numbers.
-pub fn simulate_parallel<T, R>(shards: &[T], mut f: impl FnMut(&T) -> R) -> (Vec<R>, ParallelTiming) {
-    let mut results = Vec::with_capacity(shards.len());
-    let mut wall = Duration::ZERO;
-    let mut cpu = Duration::ZERO;
-    for shard in shards {
-        let start = Instant::now();
-        results.push(f(shard));
-        let elapsed = start.elapsed();
-        wall = wall.max(elapsed);
-        cpu += elapsed;
-    }
-    (results, ParallelTiming { wall, cpu })
-}
-
 /// A stopwatch for single-machine (client or coordinator) steps.
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();
@@ -335,22 +321,6 @@ mod tests {
         // A phase with no payload still costs one RTT.
         let lat = link.phase_latency(0, 0, Duration::ZERO);
         assert_eq!(lat, Duration::from_millis(50));
-    }
-
-    #[test]
-    fn simulate_parallel_reports_max_and_sum() {
-        let shards = vec![1u64, 2, 3];
-        let (results, timing) = simulate_parallel(&shards, |&s| {
-            // Busy-work proportional to the shard value.
-            let mut acc = 0u64;
-            for i in 0..s * 200_000 {
-                acc = acc.wrapping_add(i);
-            }
-            acc
-        });
-        assert_eq!(results.len(), 3);
-        assert!(timing.cpu >= timing.wall, "cpu {:?} < wall {:?}", timing.cpu, timing.wall);
-        assert!(timing.wall > Duration::ZERO);
     }
 
     #[test]

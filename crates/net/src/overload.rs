@@ -8,7 +8,7 @@
 //! holds the three cooperating mechanisms:
 //!
 //! - [`DeadlineBudget`] — a per-query wall-clock allowance carried
-//!   from `search_served` through [`crate::dispatch`] into coalescer
+//!   from `try_search_served` through [`crate::dispatch`] into coalescer
 //!   lanes and the fault-aware fan-out. A query that cannot finish in
 //!   budget fails early with a typed [`ServeError::DeadlineExceeded`]
 //!   instead of queueing forever.
@@ -79,6 +79,12 @@ pub enum ServeError {
     },
     /// A fault/coalesce policy failed validation at dispatch time.
     InvalidPolicy(ConfigError),
+    /// A shard did not deliver under a disabled fault policy, which
+    /// has no degraded mode to fall back on.
+    ShardFailed {
+        /// Plan address (`shard_base + idx`) of the failed shard.
+        shard: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -94,6 +100,9 @@ impl std::fmt::Display for ServeError {
                 write!(f, "coalescer lane failed after {crashes} crashed flushes")
             }
             ServeError::InvalidPolicy(e) => write!(f, "invalid policy: {e}"),
+            ServeError::ShardFailed { shard } => {
+                write!(f, "shard {shard} did not deliver and the fault policy is disabled")
+            }
         }
     }
 }
@@ -115,6 +124,7 @@ impl ServeError {
             }
             ServeError::LaneFailed { crashes } => (rc::LANE_FAILED, u64::from(crashes), 0),
             ServeError::InvalidPolicy(_) => (rc::INVALID_POLICY, 0, 0),
+            ServeError::ShardFailed { shard } => (rc::SHARD_FAILED, shard as u64, 0),
         }
     }
 }

@@ -1,13 +1,6 @@
 //! The typed service plane: one dispatch engine for every
 //! request/response service in the deployment.
 //!
-//! The repo had grown four drifting serving paths — the healthy
-//! fan-out, the fault-aware fan-out, the worker-pool cluster
-//! coordinator, and the batched throughput driver — each
-//! re-implementing dispatch, transcript accounting, fault handling,
-//! and span instrumentation. This module collapses them into one code
-//! path:
-//!
 //! - [`Service`] — a typed shard service: how many shards it has, how
 //!   a shard serializes its answer to the wire, how the coordinator
 //!   parses and combines the parts.
@@ -15,13 +8,13 @@
 //!   per-phase upload/download bytes (mirrored into the metrics
 //!   registry by [`crate::Transcript`]) plus per-cluster byte
 //!   attribution when the service maps shards onto clusters.
-//! - [`dispatch`] — the engine. Policy knobs select the behavior:
-//!   with `policy.enabled == false` it runs the healthy
-//!   [`crate::simulate_parallel`] fan-out (per-shard spans named by
-//!   the service, no envelope, bit-identical to the historical
-//!   `answer` paths); with `policy.enabled == true` every response
-//!   crosses the checksummed `TPT1` envelope under
-//!   [`crate::dispatch_faulty`]'s timeouts, retries, and hedging.
+//! - [`dispatch`] — the engine, and the coordinator's only fan-out.
+//!   Every shard answer crosses the checksummed `TPT2` envelope
+//!   ([`crate::seal_traced`]) under one attempt loop. The policy only
+//!   sets that loop's knobs: a disabled policy makes one attempt per
+//!   shard with no timeout, retry or hedge; an enabled one adds
+//!   timeouts, retries, hedging and circuit-breaker gating. A healthy
+//!   query is the fault path under [`crate::FaultPlan::none`].
 //!
 //! Batch coalescing composes *underneath* this plane: a service's
 //! `serve` may route its shard computation through a
@@ -30,18 +23,15 @@
 
 use tiptoe_math::wire::WireError;
 
-use crate::fault::dispatch_faulty_gated;
+use crate::fault::fan_out;
 use crate::overload::{BreakerBank, DeadlineBudget, ServeError, ShardGate};
-use crate::{
-    simulate_parallel, Direction, FaultPlan, FaultPolicy, FaultReport, ParallelTiming, Phase,
-    Transcript,
-};
+use crate::{Direction, FaultPlan, FaultPolicy, FaultReport, ParallelTiming, Phase, Transcript};
 
 /// A typed, sharded request/response service.
 ///
 /// Implementations describe *what* each shard computes and how it
-/// crosses the wire; [`dispatch`] decides *how* it runs (healthy or
-/// fault-aware, sequential or coalesced) and layers accounting and
+/// crosses the wire; [`dispatch`] decides *how* it runs (under which
+/// fault policy, sequential or coalesced) and layers accounting and
 /// spans around it.
 pub trait Service {
     /// The per-query request (e.g. a query ciphertext).
@@ -54,18 +44,16 @@ pub trait Service {
     /// Name of the span wrapping the whole fan-out (e.g. `rank.answer`).
     fn outer_span(&self) -> &'static str;
 
-    /// Name of the healthy per-shard span (e.g. `rank.shard`, labeled
-    /// with the shard index). The fault-aware path uses `net.shard`
-    /// spans from [`dispatch_faulty`] instead, which carry
-    /// attempt/hedge accounting.
+    /// Name of the per-shard span (e.g. `rank.shard`), labeled with
+    /// the shard index and carrying `attempts`/`hedged`/`ok`
+    /// attributes.
     fn shard_span(&self) -> &'static str;
 
     /// Number of worker shards.
     fn num_shards(&self) -> usize;
 
     /// Computes shard `idx`'s answer and serializes it as a wire
-    /// payload (sealed in the checksummed envelope on the fault-aware
-    /// path).
+    /// payload (sealed in the checksummed envelope by the dispatcher).
     ///
     /// # Errors
     ///
@@ -80,12 +68,14 @@ pub trait Service {
     /// # Errors
     ///
     /// Returns a [`WireError`] on truncated, malformed, or
-    /// wrong-shaped payloads (the fault-aware path retries these).
+    /// wrong-shaped payloads (an enabled policy retries these; under
+    /// a disabled one the dispatch fails with
+    /// [`ServeError::ShardFailed`]).
     fn parse(&self, idx: usize, payload: &[u8]) -> Result<Self::Part, WireError>;
 
     /// Combines the per-shard parts into the response. Failed shards
-    /// appear as `None` and must degrade gracefully (contribute
-    /// nothing).
+    /// (possible only under an enabled policy) appear as `None` and
+    /// must degrade gracefully (contribute nothing).
     fn combine(&self, parts: Vec<Option<Self::Part>>) -> Self::Response;
 
     /// The contiguous cluster range `[lo, hi)` this service covers,
@@ -122,12 +112,11 @@ pub struct Dispatched<R> {
     /// The combined response.
     pub response: R,
     /// `survivors[w]` is true iff shard `w` delivered a verified
-    /// answer (all true on the healthy path).
+    /// answer (always all true under a disabled policy).
     pub survivors: Vec<bool>,
     /// Virtual timing: `wall` = slowest shard, `cpu` = summed work.
     pub timing: ParallelTiming,
-    /// Retry/timeout/hedge accounting; `Some` iff the fault-aware
-    /// path ran (i.e. `policy.enabled`).
+    /// Retry/timeout/hedge accounting; `Some` iff `policy.enabled`.
     pub report: Option<FaultReport>,
 }
 
@@ -149,10 +138,10 @@ pub struct DispatchContext<'a> {
     /// attempt fails early) and charged with the fan-out's wall time
     /// after.
     pub budget: Option<&'a DeadlineBudget>,
-    /// The plane's circuit breakers, if any. Consulted and trained on
-    /// the fault-aware path only — a healthy-path dispatch neither
-    /// gates nor records, so fault-free serving stays bit-identical
-    /// and overhead-free.
+    /// The plane's circuit breakers, if any. Consulted and trained
+    /// only under an enabled policy — with one attempt and no timeout
+    /// there is no degraded mode to reroute to, so a disabled-policy
+    /// dispatch neither gates nor records.
     pub breakers: Option<&'a BreakerBank>,
 }
 
@@ -179,29 +168,27 @@ impl<'a> DispatchContext<'a> {
 /// fan-out, fault recovery, and overload safety in one place.
 ///
 /// Middleware order (outermost first): budget check → upload
-/// accounting → outer span → breaker gating → per-shard fan-out
-/// (healthy or fault-aware) → breaker training → combine → download +
-/// retry accounting → budget charge.
+/// accounting → outer span → breaker gating → per-shard attempt loop
+/// → breaker training → combine → download + retry accounting →
+/// budget charge.
 ///
 /// `shard_base` offsets the fault plan's (and breaker bank's) shard
 /// address space so several services can share one plan (ranking
 /// takes `0..W`, the URL server `W`).
 ///
-/// Without a budget and with an infallible service, this function
-/// cannot fail on a valid policy — breakers alone only *skip* shards
-/// (degrading the combine), never error.
+/// Without a budget, with an infallible service and with every shard
+/// delivering, this function cannot fail on a valid policy — under an
+/// enabled policy, failed or breaker-skipped shards only degrade the
+/// combine.
 ///
 /// # Errors
 ///
 /// - [`ServeError::DeadlineExceeded`] if the query's budget cannot
 ///   fit one more attempt, or the fan-out's wall time overdraws it.
 /// - [`ServeError::InvalidPolicy`] on an invalid enabled policy.
+/// - [`ServeError::ShardFailed`] if a shard does not deliver under a
+///   disabled policy (its single attempt crashed or failed to parse).
 /// - Any typed error the service's `serve` raises.
-///
-/// # Panics
-///
-/// Panics (healthy path only) if a shard's own payload fails its own
-/// parser — that is a programming error, not a fault.
 pub fn dispatch<S: Service>(
     svc: &S,
     req: &S::Request,
@@ -218,12 +205,17 @@ pub fn dispatch<S: Service>(
             return Err(ServeError::DeadlineExceeded { budget: b.total(), spent: b.spent() });
         }
     }
-    // The remaining budget also caps the per-shard deadline, so a
-    // late-phase fan-out cannot spend time the query no longer has.
-    let mut eff_policy = *policy;
-    if let (Some(b), true) = (ctx.budget, policy.enabled) {
-        eff_policy.deadline = eff_policy.deadline.min(b.remaining().max(policy.attempt_timeout));
-    }
+    let loop_policy = if policy.enabled {
+        // The remaining budget also caps the per-shard deadline, so a
+        // late-phase fan-out cannot spend time the query no longer has.
+        let mut p = *policy;
+        if let Some(b) = ctx.budget {
+            p.deadline = p.deadline.min(b.remaining().max(policy.attempt_timeout));
+        }
+        p
+    } else {
+        FaultPolicy::single_attempt()
+    };
 
     if let Some(l) = ledger {
         l.transcript.record_up(l.phase, l.up_bytes);
@@ -233,60 +225,43 @@ pub fn dispatch<S: Service>(
     }
 
     let _outer = tiptoe_obs::span(svc.outer_span());
-    let shard_ids: Vec<usize> = (0..svc.num_shards()).collect();
-    let (parts, survivors, timing, report) = if policy.enabled {
-        // Circuit-breaker gating (fault-aware path only): open shards
-        // are skipped up front, rerouting the query to degraded-mode
-        // survivor-subset serving instead of waiting out timeouts.
-        let gates: Option<Vec<ShardGate>> = ctx
-            .breakers
-            .filter(|b| b.policy().enabled)
-            .map(|b| shard_ids.iter().map(|&i| b.gate(shard_base + i)).collect());
-        let (parts, report) = dispatch_faulty_gated(
-            &shard_ids,
-            shard_base,
-            ctx.plan,
-            &eff_policy,
-            gates.as_deref(),
-            |idx, _| svc.serve(idx, req),
-            |idx, payload| svc.parse(idx, payload),
-        )?;
-        // Train the breakers with every *served* outcome (skipped
-        // shards saw no traffic, so there is nothing to learn).
-        if let Some(bank) = ctx.breakers {
-            for (i, shard) in report.shards.iter().enumerate() {
-                let skipped = gates.as_ref().is_some_and(|g| g[i] == ShardGate::Skip);
-                if !skipped {
-                    bank.record(shard_base + i, shard.ok, shard.wall);
-                }
+    // Circuit-breaker gating (enabled policy only): open shards are
+    // skipped up front, rerouting the query to degraded-mode
+    // survivor-subset serving instead of waiting out timeouts.
+    let breakers = ctx.breakers.filter(|_| policy.enabled);
+    let gates: Option<Vec<ShardGate>> = breakers
+        .filter(|b| b.policy().enabled)
+        .map(|b| (0..svc.num_shards()).map(|i| b.gate(shard_base + i)).collect());
+    let (parts, report) = fan_out(
+        svc.num_shards(),
+        shard_base,
+        svc.shard_span(),
+        ctx.plan,
+        &loop_policy,
+        gates.as_deref(),
+        |idx| svc.serve(idx, req),
+        |idx, payload| svc.parse(idx, payload),
+    )?;
+    // Train the breakers with every *served* outcome (skipped shards
+    // saw no traffic, so there is nothing to learn).
+    if let Some(bank) = breakers {
+        for (i, shard) in report.shards.iter().enumerate() {
+            let skipped = gates.as_ref().is_some_and(|g| g[i] == ShardGate::Skip);
+            if !skipped {
+                bank.record(shard_base + i, shard.ok, shard.wall);
             }
         }
-        let survivors: Vec<bool> = parts.iter().map(Option::is_some).collect();
-        let timing = report.timing;
-        (parts, survivors, timing, Some(report))
-    } else {
-        let (parts, timing) = simulate_parallel(&shard_ids, |&idx| {
-            let mut span = tiptoe_obs::span(svc.shard_span());
-            if tiptoe_obs::enabled() {
-                span.set_label(format!("{idx}"));
-            }
-            let shard_start = std::time::Instant::now();
-            let part = svc.serve(idx, req).map(|payload| {
-                svc.parse(idx, &payload).expect("healthy shard payload must parse")
-            });
-            tiptoe_obs::recorder::record(
-                tiptoe_obs::recorder::EventKind::ShardOutcome,
-                (shard_base + idx) as u64,
-                u64::from(part.is_ok()),
-                1,
-                shard_start.elapsed().as_micros() as u64,
-            );
-            part
-        });
-        let parts = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let survivors = vec![true; parts.len()];
-        (parts.into_iter().map(Some).collect(), survivors, timing, None)
-    };
+    }
+    // Without recovery there is no degraded mode: a client holding a
+    // combined token cannot decrypt a subset of shards, so an
+    // undelivered shard fails the query instead of being zero-filled.
+    if !policy.enabled {
+        if let Some(i) = parts.iter().position(Option::is_none) {
+            return Err(ServeError::ShardFailed { shard: shard_base + i });
+        }
+    }
+    let survivors: Vec<bool> = parts.iter().map(Option::is_some).collect();
+    let timing = report.timing;
     let response = svc.combine(parts);
 
     if let Some(l) = ledger {
@@ -294,10 +269,8 @@ pub fn dispatch<S: Service>(
         if let Some(range) = svc.cluster_range() {
             l.transcript.attribute_clusters(Direction::Download, range, l.down_bytes);
         }
-        if let Some(r) = &report {
-            if r.wasted_response_bytes > 0 {
-                l.transcript.record_down(l.retry_phase, r.wasted_response_bytes);
-            }
+        if report.wasted_response_bytes > 0 {
+            l.transcript.record_down(l.retry_phase, report.wasted_response_bytes);
         }
     }
 
@@ -309,7 +282,7 @@ pub fn dispatch<S: Service>(
         b.charge(timing.wall)?;
     }
 
-    Ok(Dispatched { response, survivors, timing, report })
+    Ok(Dispatched { response, survivors, timing, report: policy.enabled.then_some(report) })
 }
 
 #[cfg(test)]
@@ -364,23 +337,148 @@ mod tests {
         }
     }
 
+    /// Display names and `(attempts, hedged, ok)` attributes of the
+    /// shard spans under the `test.sum` span parented by the span
+    /// named `root`.
+    fn shard_spans(root: &str) -> Vec<(String, [Option<u64>; 3])> {
+        let spans = tiptoe_obs::spans_snapshot();
+        let parent_named = |name: &str, parent: Option<u64>| {
+            spans.iter().find(|s| s.name == name && s.parent == parent).map(|s| s.id)
+        };
+        let root_id = spans.iter().find(|s| s.name == root).map(|s| s.id);
+        let Some(outer) = parent_named("test.sum", root_id) else { return Vec::new() };
+        let attr =
+            |s: &tiptoe_obs::SpanRecord, k| s.attrs.iter().find(|(n, _)| *n == k).map(|a| a.1);
+        spans
+            .iter()
+            .filter(|s| s.parent == Some(outer))
+            .map(|s| (s.display_name(), [attr(s, "attempts"), attr(s, "hedged"), attr(s, "ok")]))
+            .collect()
+    }
+
     #[test]
     fn healthy_and_faulty_paths_agree_on_benign_plans() {
+        use tiptoe_obs::recorder::{self, EventKind};
         let svc = SumService { shards: 4, base: 100, clusters: None };
         let plan = FaultPlan::none();
-        let healthy_policy = FaultPolicy::default();
-        let faulty_policy = FaultPolicy::tolerant();
-        let healthy =
-            dispatch(&svc, &1, 0, DispatchContext::new(&plan, &healthy_policy), None)
-                .expect("healthy dispatch");
-        let faulty = dispatch(&svc, &1, 0, DispatchContext::new(&plan, &faulty_policy), None)
-            .expect("faulty dispatch");
+        tiptoe_obs::enable();
+        // One traced query per policy: the response, the per-shard
+        // spans, and the recorder's `(shard, flags, attempts)` words.
+        let run = |policy: &FaultPolicy, root: &'static str| {
+            let scope = tiptoe_obs::query_scope();
+            let d = {
+                let _root = tiptoe_obs::span(root);
+                dispatch(&svc, &1, 0, DispatchContext::new(&plan, policy), None)
+                    .expect("benign dispatch")
+            };
+            let outcomes: Vec<(u64, u64, u64)> = recorder::timeline(scope.id())
+                .iter()
+                .filter(|e| e.kind == EventKind::ShardOutcome)
+                .map(|e| (e.a, e.b, e.c))
+                .collect();
+            (d, shard_spans(root), outcomes)
+        };
+        let (healthy, healthy_spans, healthy_outcomes) =
+            run(&FaultPolicy::default(), "test.healthy");
+        let (faulty, faulty_spans, faulty_outcomes) = run(&FaultPolicy::tolerant(), "test.faulty");
+        tiptoe_obs::disable();
+
         assert_eq!(healthy.response, 101 + 102 + 103 + 104);
         assert_eq!(healthy.response, faulty.response);
         assert_eq!(healthy.survivors, vec![true; 4]);
         assert_eq!(faulty.survivors, vec![true; 4]);
         assert!(healthy.report.is_none());
         assert!(faulty.report.expect("faulty path reports").all_ok());
+
+        // Same span shape: `test.sum_shard[i]`, one attempt, no hedge,
+        // delivered.
+        let want: Vec<_> = (0..4)
+            .map(|i| (format!("test.sum_shard[{i}]"), [Some(1), Some(0), Some(1)]))
+            .collect();
+        assert_eq!(healthy_spans, want);
+        assert_eq!(faulty_spans, want);
+        // Same recorder words: shard i delivered (flags 1) on one
+        // attempt.
+        let want: Vec<_> = (0..4).map(|i| (i, 1, 1)).collect();
+        assert_eq!(healthy_outcomes, want);
+        assert_eq!(faulty_outcomes, want);
+    }
+
+    /// [`SumService`] whose shard `bad` appends a byte its own parser
+    /// rejects.
+    struct Misframed {
+        inner: SumService,
+        bad: usize,
+    }
+
+    impl Service for Misframed {
+        type Request = u64;
+        type Part = u64;
+        type Response = u64;
+
+        fn outer_span(&self) -> &'static str {
+            self.inner.outer_span()
+        }
+
+        fn shard_span(&self) -> &'static str {
+            self.inner.shard_span()
+        }
+
+        fn num_shards(&self) -> usize {
+            self.inner.num_shards()
+        }
+
+        fn serve(&self, idx: usize, req: &u64) -> Result<Vec<u8>, ServeError> {
+            let mut payload = self.inner.serve(idx, req)?;
+            if idx == self.bad {
+                payload.push(0);
+            }
+            Ok(payload)
+        }
+
+        fn parse(&self, idx: usize, payload: &[u8]) -> Result<u64, WireError> {
+            self.inner.parse(idx, payload)
+        }
+
+        fn combine(&self, parts: Vec<Option<u64>>) -> u64 {
+            self.inner.combine(parts)
+        }
+    }
+
+    #[test]
+    fn undelivered_shards_fail_a_disabled_policy_with_a_typed_error() {
+        let svc = Misframed { inner: SumService { shards: 3, base: 10, clusters: None }, bad: 1 };
+        let plan = FaultPlan::none();
+        let t = Transcript::new();
+        let ledger = Ledger {
+            transcript: &t,
+            phase: Phase::Ranking,
+            retry_phase: Phase::RankingRetries,
+            up_bytes: 64,
+            down_bytes: 32,
+        };
+        let disabled = FaultPolicy::default();
+        let ctx = DispatchContext::new(&plan, &disabled);
+        let err = dispatch(&svc, &0, 5, ctx, Some(&ledger)).expect_err("misframed shard");
+        assert_eq!(err, ServeError::ShardFailed { shard: 6 });
+        assert_eq!(t.phase_total(Phase::Ranking, Direction::Download), 0, "no answer returned");
+
+        // A crashed shard has no timeout to wait out: it fails the
+        // same way instead of being zero-filled.
+        let crash = FaultPlan::none().crash_shard(2);
+        let healthy = SumService { shards: 3, base: 10, clusters: None };
+        let err = dispatch(&healthy, &0, 0, DispatchContext::new(&crash, &disabled), None)
+            .expect_err("crashed shard");
+        assert_eq!(err, ServeError::ShardFailed { shard: 2 });
+
+        // An enabled policy retries the misframed shard, then degrades.
+        let mut tolerant = FaultPolicy::tolerant();
+        tolerant.hedge_after = None;
+        let d = dispatch(&svc, &0, 5, DispatchContext::new(&plan, &tolerant), None)
+            .expect("degraded dispatch");
+        assert_eq!(d.response, 10 + 12);
+        assert_eq!(d.survivors, vec![true, false, true]);
+        assert_eq!(d.report.expect("report").corrupted, tolerant.max_retries + 1);
     }
 
     #[test]

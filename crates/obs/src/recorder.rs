@@ -77,7 +77,8 @@ pub enum EventKind {
     /// The query finished with a typed result. `a` = result code
     /// (see [`result_code`]); for deadline failures `b` = budget µs
     /// and `c` = spent µs, for sheds `b` = inflight and `c` =
-    /// capacity, for lane failures `b` = crash count.
+    /// capacity, for lane failures `b` = crash count, for failed
+    /// shards `b` = shard id.
     Finished = 10,
 }
 
@@ -129,6 +130,9 @@ pub mod result_code {
     pub const LANE_FAILED: u64 = 3;
     /// `ServeError::InvalidPolicy` — rejected configuration.
     pub const INVALID_POLICY: u64 = 4;
+    /// `ServeError::ShardFailed` — a shard did not deliver under a
+    /// disabled fault policy.
+    pub const SHARD_FAILED: u64 = 5;
 
     /// Display name for a result code.
     pub fn name(code: u64) -> &'static str {
@@ -138,6 +142,7 @@ pub mod result_code {
             DEADLINE_EXCEEDED => "deadline-exceeded",
             LANE_FAILED => "lane-failed",
             INVALID_POLICY => "invalid-policy",
+            SHARD_FAILED => "shard-failed",
             _ => "unknown",
         }
     }

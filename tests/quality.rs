@@ -171,3 +171,20 @@ fn dual_assignment_does_not_hurt_quality() {
         / instance_without.artifacts.order.len() as f64;
     assert!((1.1..=1.3).contains(&overhead), "index overhead {overhead}");
 }
+
+#[test]
+fn text_embeddings_are_bitwise_deterministic() {
+    // Repeated embeddings of one text must agree to the bit: a single
+    // flipped low bit can move a document across a quantization step
+    // and make two deployments of the same corpus differ.
+    let embedder = TextEmbedder::paper_text(1);
+    let corpus = generate(&CorpusConfig::small(4096, 1), 0);
+    for doc in &corpus.docs {
+        let first: Vec<u32> = embedder.embed_text(&doc.text).iter().map(|x| x.to_bits()).collect();
+        for _ in 0..4 {
+            let again: Vec<u32> =
+                embedder.embed_text(&doc.text).iter().map(|x| x.to_bits()).collect();
+            assert!(first == again, "doc {} embeds differently across calls", doc.id);
+        }
+    }
+}
